@@ -240,3 +240,17 @@ done
 SMOKESCREEN_PERTURB_SEED=7 SMOKESCREEN_PERTURB_RATE=0 SMOKESCREEN_PERTURB_KIND=glare \
   cargo test -q --offline --test crash_resume
 echo "zero-rate perturbation plan is byte-invisible"
+
+echo "=== checkout hygiene: no untracked files left behind ==="
+# Every step above must clean up after itself or write only under ignored
+# paths (target/, mktemp directories). The check covers *untracked* files
+# only: the estimator-kernels step rewrites the tracked
+# bench_results/estimator_kernels.csv on every run, so a full dirty-tree
+# check would always trip.
+untracked="$(git ls-files --others --exclude-standard)"
+if [ -n "$untracked" ]; then
+  echo "untracked files left in the checkout:" >&2
+  echo "$untracked" >&2
+  exit 1
+fi
+echo "no untracked files left in the checkout"

@@ -17,7 +17,7 @@ pub struct CameraId(u64);
 impl CameraId {
     /// Derives the id for a camera name.
     pub fn from_name(name: &str) -> CameraId {
-        CameraId(smokescreen_rt::journal::checksum64(name.as_bytes()))
+        CameraId(smokescreen_rt::log::checksum64(name.as_bytes()))
     }
 
     /// The raw 64-bit value (what goes into a store key).
@@ -204,7 +204,7 @@ mod tests {
         assert_eq!(format!("{}", ids[0]).len(), 16, "fixed-width hex rendering");
         assert_eq!(
             ids[0].value(),
-            smokescreen_rt::journal::checksum64(b"ns-1"),
+            smokescreen_rt::log::checksum64(b"ns-1"),
             "same checksum the durability layer uses"
         );
     }

@@ -102,7 +102,7 @@ use smokescreen_degrade::{
 };
 use smokescreen_models::{OutputCache, RetryPolicy};
 use smokescreen_rt::fault::{CrashKind, CrashPlan, FaultPlan};
-use smokescreen_rt::journal::{self, Journal, JournalWriter, Replay};
+use smokescreen_rt::journal::{Journal, JournalWriter, Replay};
 use smokescreen_rt::json::{FromJson, Json, ToJson};
 use smokescreen_rt::pool::Pool;
 use smokescreen_rt::sync::Mutex;
@@ -384,40 +384,29 @@ impl Committer {
                 Some(CrashKind::TornAppend { .. }) if self.torn_done == Some(cell) => None,
                 c => c,
             };
-            match (&mut g.writer, crash) {
-                (Some(w), None) => {
-                    if let Err(e) = w.append(cell as u32, &payload) {
-                        g.io_error = Some(format!("appending cell {cell}: {e}"));
-                        return;
-                    }
-                }
-                (Some(w), Some(CrashKind::AfterAppend)) => {
-                    // The record becomes durable, *then* the process dies:
-                    // resume must splice this cell without recomputing it.
-                    if let Err(e) = w.append(cell as u32, &payload) {
-                        g.io_error = Some(format!("appending cell {cell}: {e}"));
-                        return;
-                    }
-                    g.crashed = Some(cell);
-                    return;
-                }
-                (Some(w), Some(CrashKind::TornAppend { keep_frac })) => {
-                    // The process dies mid-append: a torn record reaches
-                    // disk and resume must quarantine it and recompute.
-                    if let Err(e) = w.append_torn(cell as u32, &payload, keep_frac) {
-                        g.io_error = Some(format!("tearing cell {cell}: {e}"));
-                        return;
-                    }
-                    g.crashed = Some(cell);
-                    return;
-                }
-                // Crash without a journal: death still fires (the plan
-                // simulates the process, not the disk), nothing durable.
-                (None, Some(_)) => {
-                    g.crashed = Some(cell);
-                    return;
-                }
-                (None, None) => {}
+            let written = match (&mut g.writer, crash) {
+                // The process dies mid-append: a torn record reaches disk
+                // and resume must quarantine it and recompute.
+                (Some(w), Some(CrashKind::TornAppend { keep_frac })) => w
+                    .append_torn(cell as u32, &payload, keep_frac)
+                    .map_err(|e| format!("tearing cell {cell}: {e}")),
+                // With `AfterAppend` the record becomes durable, *then* the
+                // process dies: resume must splice this cell without
+                // recomputing it.
+                (Some(w), _) => w
+                    .append(cell as u32, &payload)
+                    .map_err(|e| format!("appending cell {cell}: {e}")),
+                // Without a journal a crash still fires (the plan simulates
+                // the process, not the disk); nothing is durable.
+                (None, _) => Ok(()),
+            };
+            if let Err(msg) = written {
+                g.io_error = Some(msg);
+                return;
+            }
+            if crash.is_some() {
+                g.crashed = Some(cell);
+                return;
             }
         }
     }
@@ -646,7 +635,7 @@ impl<'a> ProfileGenerator<'a> {
         let identity = self.journal_identity(grid);
         let path = dir.join(format!(
             "profile-{:016x}.journal",
-            journal::checksum64(identity.as_bytes())
+            smokescreen_rt::log::checksum64(identity.as_bytes())
         ));
         let validate =
             |idx: u32, payload: &[u8]| (idx as usize) < n_cells && CellRecord::decode(idx, payload).is_some();

@@ -31,7 +31,10 @@
 //! be replayed exactly. Malformed values in any of these variables are a
 //! *loud* startup error (a panic naming the variable and the offending
 //! string) — a typo in a chaos knob must never silently run the
-//! faults-disabled configuration.
+//! faults-disabled configuration. Every seeded plan in the workspace,
+//! `video::perturb::PerturbPlan` included, reads its knobs through the
+//! one strict parser [`parse_seed_rate`] and the one panicking wrapper
+//! [`plan_from_env`], and keys its decision stream through [`mix`].
 //!
 //! Beyond per-call faults, [`CrashPlan`] schedules whole-*process* deaths
 //! for the checkpoint/resume suite: a pure function of `(seed, cell
@@ -164,23 +167,16 @@ impl FaultPlan {
     /// is a loud startup error (panic naming the variable and the raw
     /// string): a typo must never silently disable chaos.
     pub fn from_env() -> Option<Self> {
-        match Self::parse_env(
-            std::env::var(FAULT_SEED_ENV).ok().as_deref(),
-            std::env::var(FAULT_RATE_ENV).ok().as_deref(),
-        ) {
-            Ok(plan) => plan,
-            Err(msg) => panic!("{msg}"),
-        }
+        plan_from_env([FAULT_SEED_ENV, FAULT_RATE_ENV], |[seed, rate]| {
+            Self::parse_env(seed, rate)
+        })
     }
 
     /// Parse layer behind [`FaultPlan::from_env`], exposed for tests.
     /// `Err` carries a message naming the offending variable and value.
     pub fn parse_env(seed: Option<&str>, rate: Option<&str>) -> Result<Option<Self>, String> {
-        let seed = parse_seed(FAULT_SEED_ENV, seed)?;
-        match parse_rate(FAULT_RATE_ENV, rate)? {
-            Some(rate) if rate > 0.0 => Ok(Some(FaultPlan::new(seed, rate))),
-            _ => Ok(None),
-        }
+        Ok(parse_seed_rate(FAULT_SEED_ENV, seed, FAULT_RATE_ENV, rate)?
+            .map(|(seed, rate)| FaultPlan::new(seed, rate)))
     }
 
     /// The plan seed (for replay reporting).
@@ -316,22 +312,15 @@ impl CrashPlan {
     /// zero; malformed values are a loud startup error, matching
     /// [`FaultPlan::from_env`].
     pub fn from_env() -> Option<Self> {
-        match Self::parse_env(
-            std::env::var(CRASH_SEED_ENV).ok().as_deref(),
-            std::env::var(CRASH_RATE_ENV).ok().as_deref(),
-        ) {
-            Ok(plan) => plan,
-            Err(msg) => panic!("{msg}"),
-        }
+        plan_from_env([CRASH_SEED_ENV, CRASH_RATE_ENV], |[seed, rate]| {
+            Self::parse_env(seed, rate)
+        })
     }
 
     /// Parse layer behind [`CrashPlan::from_env`], exposed for tests.
     pub fn parse_env(seed: Option<&str>, rate: Option<&str>) -> Result<Option<Self>, String> {
-        let seed = parse_seed(CRASH_SEED_ENV, seed)?;
-        match parse_rate(CRASH_RATE_ENV, rate)? {
-            Some(rate) if rate > 0.0 => Ok(Some(CrashPlan::new(seed, rate))),
-            _ => Ok(None),
-        }
+        Ok(parse_seed_rate(CRASH_SEED_ENV, seed, CRASH_RATE_ENV, rate)?
+            .map(|(seed, rate)| CrashPlan::new(seed, rate)))
     }
 }
 
@@ -455,22 +444,17 @@ impl DiskFaultPlan {
     /// unset or zero; malformed values are a loud startup error, matching
     /// [`FaultPlan::from_env`].
     pub fn from_env() -> Option<Self> {
-        match Self::parse_env(
-            std::env::var(DISKFAULT_SEED_ENV).ok().as_deref(),
-            std::env::var(DISKFAULT_RATE_ENV).ok().as_deref(),
-        ) {
-            Ok(plan) => plan,
-            Err(msg) => panic!("{msg}"),
-        }
+        plan_from_env([DISKFAULT_SEED_ENV, DISKFAULT_RATE_ENV], |[seed, rate]| {
+            Self::parse_env(seed, rate)
+        })
     }
 
     /// Parse layer behind [`DiskFaultPlan::from_env`], exposed for tests.
     pub fn parse_env(seed: Option<&str>, rate: Option<&str>) -> Result<Option<Self>, String> {
-        let seed = parse_seed(DISKFAULT_SEED_ENV, seed)?;
-        match parse_rate(DISKFAULT_RATE_ENV, rate)? {
-            Some(rate) if rate > 0.0 => Ok(Some(DiskFaultPlan::new(seed, rate))),
-            _ => Ok(None),
-        }
+        Ok(
+            parse_seed_rate(DISKFAULT_SEED_ENV, seed, DISKFAULT_RATE_ENV, rate)?
+                .map(|(seed, rate)| DiskFaultPlan::new(seed, rate)),
+        )
     }
 }
 
@@ -573,57 +557,70 @@ impl NetFaultPlan {
     /// unset or zero; malformed values are a loud startup error, matching
     /// [`FaultPlan::from_env`].
     pub fn from_env() -> Option<Self> {
-        match Self::parse_env(
-            std::env::var(NETFAULT_SEED_ENV).ok().as_deref(),
-            std::env::var(NETFAULT_RATE_ENV).ok().as_deref(),
-        ) {
-            Ok(plan) => plan,
-            Err(msg) => panic!("{msg}"),
-        }
+        plan_from_env([NETFAULT_SEED_ENV, NETFAULT_RATE_ENV], |[seed, rate]| {
+            Self::parse_env(seed, rate)
+        })
     }
 
     /// Parse layer behind [`NetFaultPlan::from_env`], exposed for tests.
     pub fn parse_env(seed: Option<&str>, rate: Option<&str>) -> Result<Option<Self>, String> {
-        let seed = parse_seed(NETFAULT_SEED_ENV, seed)?;
-        match parse_rate(NETFAULT_RATE_ENV, rate)? {
-            Some(rate) if rate > 0.0 => Ok(Some(NetFaultPlan::new(seed, rate))),
-            _ => Ok(None),
-        }
+        Ok(
+            parse_seed_rate(NETFAULT_SEED_ENV, seed, NETFAULT_RATE_ENV, rate)?
+                .map(|(seed, rate)| NetFaultPlan::new(seed, rate)),
+        )
     }
 }
 
-/// Strictly parses a seed variable: unset defaults to 0, anything set
-/// must be a decimal `u64`.
-fn parse_seed(var: &str, raw: Option<&str>) -> Result<u64, String> {
-    match raw {
-        None => Ok(0),
-        Some(s) => s.trim().parse().map_err(|_| {
-            format!("{var} must be a decimal u64 seed, got {s:?}")
-        }),
-    }
+/// The one strict reader behind every seeded plan's `parse_env`.
+///
+/// An unset seed defaults to 0; a set seed must be a decimal `u64`. An
+/// unset rate disables the plan; a set rate must be a finite `f64` in
+/// `[0, 1]`. Returns `Some((seed, rate))` only when the plan is armed
+/// (rate > 0). A malformed seed is an error even when the rate leaves the
+/// plan disabled — the typo is still a configuration bug. `Err` names
+/// the offending variable and quotes the raw string.
+pub fn parse_seed_rate(
+    seed_var: &str,
+    seed: Option<&str>,
+    rate_var: &str,
+    rate: Option<&str>,
+) -> Result<Option<(u64, f64)>, String> {
+    let seed = match seed {
+        None => 0,
+        Some(s) => s
+            .trim()
+            .parse()
+            .map_err(|_| format!("{seed_var} must be a decimal u64 seed, got {s:?}"))?,
+    };
+    let Some(raw) = rate else {
+        return Ok(None);
+    };
+    let rate = raw
+        .trim()
+        .parse::<f64>()
+        .ok()
+        .filter(|r| r.is_finite() && (0.0..=1.0).contains(r))
+        .ok_or_else(|| format!("{rate_var} must be a rate in [0, 1], got {raw:?}"))?;
+    Ok((rate > 0.0).then_some((seed, rate)))
 }
 
-/// Strictly parses a rate variable: unset means disabled, anything set
-/// must be a finite `f64` in `[0, 1]`.
-fn parse_rate(var: &str, raw: Option<&str>) -> Result<Option<f64>, String> {
-    match raw {
-        None => Ok(None),
-        Some(s) => {
-            let rate: f64 = s
-                .trim()
-                .parse()
-                .map_err(|_| format!("{var} must be a rate in [0, 1], got {s:?}"))?;
-            if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                return Err(format!("{var} must be a rate in [0, 1], got {s:?}"));
-            }
-            Ok(Some(rate))
-        }
-    }
+/// The one panicking wrapper behind every seeded plan's `from_env`:
+/// reads `vars` from the environment and hands their raw values to
+/// `parse`. A parse error is a loud startup panic naming the variable and
+/// the raw string — a typo in a chaos knob must never silently run the
+/// disabled configuration.
+pub fn plan_from_env<P, const N: usize>(
+    vars: [&str; N],
+    parse: impl FnOnce([Option<&str>; N]) -> Result<Option<P>, String>,
+) -> Option<P> {
+    let raw = vars.map(|var| std::env::var(var).ok());
+    parse(raw.each_ref().map(Option::as_deref)).unwrap_or_else(|msg| panic!("{msg}"))
 }
 
 /// Avalanches `(seed, key)` into one well-mixed 64-bit stream seed
-/// (SplitMix64 finalizer over both words).
-fn mix(seed: u64, key: u64) -> u64 {
+/// (SplitMix64 finalizer over both words). Every seeded plan keys its
+/// decision stream through this, salted per plan family.
+pub fn mix(seed: u64, key: u64) -> u64 {
     let mut x = seed ^ key.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -1,46 +1,33 @@
-//! Crash-consistent append-only journals — the durability substrate for
+//! Crash-consistent checkpoint journals — the durability substrate for
 //! checkpoint/resume.
 //!
-//! A journal is a single file holding a versioned header followed by a
-//! sequence of length-and-checksum framed records. The format is designed
-//! around one failure model: **the process can die at any byte**. Every
-//! corruption a kill can produce — a torn (half-written) tail record, a
-//! file that stops mid-header, a zero-byte file created but never written
-//! — is detected on replay and quarantined, never trusted and never
-//! panicked on. Bit-rot (a flipped byte in the middle of the file) is
-//! caught by per-record checksums; replay keeps the valid prefix and
-//! discards everything from the first damaged record onward, because
-//! framing downstream of damage cannot be trusted.
-//!
-//! Layout:
+//! A journal is an [`rt::log`](crate::log) file whose records carry a
+//! 4-byte key: the record's index. The log owns the on-disk format, the
+//! frame walk, and the torn-tail/corruption policy (any damage is
+//! quarantined and the valid prefix rewritten atomically, never trusted
+//! and never panicked on). This module adds only the sequential-index
+//! contract:
 //!
 //! ```text
-//! header:  MAGIC (8) | format version u32 | identity len u32
+//! header:  MAGIC "SMKJRNL\0" | format version u32 | identity len u32
 //!          | identity checksum u64 | identity bytes
-//! record:  index u32 | payload len u32 | payload checksum u64 | payload
+//! record:  index u32 | payload len u32 | payload checksum u64
+//!          | header checksum u64 | payload
 //! ```
 //!
-//! All integers are little-endian. Records must carry strictly
-//! consecutive indices starting at 0 — the journal is a *contiguous
-//! prefix* of some externally defined task list, which is what makes
-//! resume accounting schedule-independent (see `core::generation`). A
-//! record with an out-of-sequence index is treated as corruption.
-//!
-//! Atomicity comes from two mechanisms:
-//!
-//! * **Append + sync** — each record is written with a single `write_all`
-//!   followed by `sync_data`, so a crash leaves at most one torn tail
-//!   record, which replay detects by framing.
-//! * **Temp-file + rename** — creating a journal and repairing one
-//!   (rewriting the valid prefix after quarantining a damaged tail) go
-//!   through [`atomic_write`]: the new contents are written to a
-//!   temporary file in the same directory, synced, then `rename`d over
-//!   the target. POSIX rename is atomic, so the journal is always either
-//!   the old bytes or the new bytes, never a mixture.
+//! Records must carry strictly consecutive indices starting at 0 — the
+//! journal is a *contiguous prefix* of some externally defined task list,
+//! which is what makes resume accounting schedule-independent (see
+//! `core::generation`). A record with an out-of-sequence index, or a
+//! payload the caller's `validate` rejects, is treated as corruption. A
+//! torn tail is attributed to the record index it was writing
+//! ([`Replay::torn_record`]).
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+
+use crate::log::{read_u32, Damage, LogFormat};
 
 /// Environment variable carrying the checkpoint directory for resumable
 /// profile generation. Unset disables checkpointing entirely; a set but
@@ -49,61 +36,16 @@ pub const CHECKPOINT_DIR_ENV: &str = "SMOKESCREEN_CHECKPOINT_DIR";
 
 /// On-disk format version. Bumped on any incompatible layout change; a
 /// journal with a different version is quarantined wholesale (its cells
-/// are simply recomputed) rather than misread.
-pub const FORMAT_VERSION: u32 = 1;
+/// are simply recomputed) rather than misread. Version 2 added the frame
+/// header checksum.
+pub const FORMAT_VERSION: u32 = 2;
 
-/// File magic: identifies a smokescreen journal.
-const MAGIC: [u8; 8] = *b"SMKJRNL\0";
-
-/// Fixed-size portion of the header preceding the identity bytes.
-const HEADER_FIXED_LEN: usize = 8 + 4 + 4 + 8;
-
-/// Per-record frame: index + payload length + payload checksum.
-const RECORD_HEADER_LEN: usize = 4 + 4 + 8;
-
-/// Upper bound on a single record payload (1 GiB); a larger length field
-/// can only come from corruption.
-const MAX_PAYLOAD_LEN: u32 = 1 << 30;
-
-/// FNV-1a 64-bit checksum. Not cryptographic — it defends against
-/// torn writes and bit-rot, not adversaries, and a 64-bit avalanche makes
-/// silent acceptance of a damaged record vanishingly unlikely.
-pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Atomically replaces `path` with `bytes`: writes a temporary sibling
-/// file, syncs it, and renames it over the target. Readers (and crashes)
-/// observe either the old contents or the new, never a torn mixture.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = sibling_tmp_path(path);
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
-    }
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
-fn sibling_tmp_path(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_else(|| ".journal".into());
-    name.push(".tmp");
-    path.with_file_name(name)
-}
+/// The journal's log format: a 4-byte record index as the key.
+const FORMAT: LogFormat = LogFormat {
+    magic: *b"SMKJRNL\0",
+    version: FORMAT_VERSION,
+    key_len: 4,
+};
 
 /// Reads the checkpoint directory from [`CHECKPOINT_DIR_ENV`].
 ///
@@ -111,10 +53,8 @@ fn sibling_tmp_path(path: &Path) -> PathBuf {
 /// default. A set-but-empty value is a loud startup error: silently
 /// ignoring it would disable durability the operator asked for.
 pub fn checkpoint_dir_from_env() -> Option<PathBuf> {
-    match parse_checkpoint_dir(std::env::var_os(CHECKPOINT_DIR_ENV).as_deref()) {
-        Ok(dir) => dir,
-        Err(msg) => panic!("{msg}"),
-    }
+    parse_checkpoint_dir(std::env::var_os(CHECKPOINT_DIR_ENV).as_deref())
+        .unwrap_or_else(|msg| panic!("{msg}"))
 }
 
 /// Parse layer behind [`checkpoint_dir_from_env`], exposed for tests:
@@ -179,7 +119,7 @@ impl JournalWriter {
     /// then `sync_data`. `index` must continue the consecutive sequence.
     pub fn append(&mut self, index: u32, payload: &[u8]) -> io::Result<()> {
         debug_assert_eq!(index, self.records, "journal indices must be consecutive");
-        let buf = frame_record(index, payload);
+        let buf = FORMAT.frame(&index.to_le_bytes(), payload);
         self.file.write_all(&buf)?;
         self.file.sync_data()?;
         self.bytes += buf.len() as u64;
@@ -194,43 +134,14 @@ impl JournalWriter {
     /// how much of the payload survives; the full record is never written.
     pub fn append_torn(&mut self, index: u32, payload: &[u8], keep_frac: f64) -> io::Result<()> {
         debug_assert_eq!(index, self.records, "journal indices must be consecutive");
-        let buf = frame_record(index, payload);
-        let keep_payload = (payload.len() as f64 * keep_frac.clamp(0.0, 1.0)) as usize;
-        let keep = (RECORD_HEADER_LEN + keep_payload).min(buf.len().saturating_sub(1));
-        self.file.write_all(&buf[..keep])?;
+        let buf = FORMAT.frame(&index.to_le_bytes(), payload);
+        let torn = FORMAT.torn_prefix(&buf, keep_frac);
+        self.file.write_all(torn)?;
         self.file.sync_data()?;
-        self.bytes += keep as u64;
+        self.bytes += torn.len() as u64;
         // Not counted in `records`: the record is not durable.
         Ok(())
     }
-}
-
-fn frame_record(index: u32, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-    buf.extend_from_slice(&index.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&checksum64(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf
-}
-
-fn header_bytes(identity: &str) -> Vec<u8> {
-    let id = identity.as_bytes();
-    let mut buf = Vec::with_capacity(HEADER_FIXED_LEN + id.len());
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&(id.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&checksum64(id).to_le_bytes());
-    buf.extend_from_slice(id);
-    buf
-}
-
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("bounds checked"))
-}
-
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
 }
 
 /// Namespace for opening journals.
@@ -254,127 +165,33 @@ impl Journal {
         identity: &str,
         validate: impl Fn(u32, &[u8]) -> bool,
     ) -> io::Result<(JournalWriter, Replay)> {
-        let header = header_bytes(identity);
-        let mut replay = Replay::default();
-
-        let existing: Option<Vec<u8>> = match File::open(path) {
-            Ok(mut f) => {
-                let mut buf = Vec::new();
-                f.read_to_end(&mut buf)?;
-                Some(buf)
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-
-        let valid_len = match &existing {
-            None => {
-                replay.created = true;
-                atomic_write(path, &header)?;
-                header.len()
-            }
-            Some(bytes) => {
-                let valid = Self::replay(bytes, &header, identity, &validate, &mut replay);
-                // Repair when there is a damaged tail to quarantine OR the
-                // header itself was unusable (including the zero-byte file,
-                // where both lengths are 0 but a fresh header must still be
-                // written before appends can proceed).
-                if valid < bytes.len() || valid < header.len() {
-                    // Quarantine the damaged tail: rewrite the valid
-                    // prefix atomically so appends continue clean framing.
-                    replay.quarantined_bytes = (bytes.len() - valid) as u64;
-                    let mut repaired = Vec::with_capacity(header.len());
-                    if valid == 0 {
-                        repaired.extend_from_slice(&header);
-                    } else {
-                        repaired.extend_from_slice(&bytes[..valid]);
-                    }
-                    atomic_write(path, &repaired)?;
-                    repaired.len()
-                } else {
-                    valid
+        let mut payloads = Vec::new();
+        let opened = FORMAT.open(path, identity, |bytes, from| {
+            FORMAT.scan(bytes, from, |frame| {
+                let index = read_u32(frame.key, 0);
+                let ok = index == payloads.len() as u32 && validate(index, frame.payload);
+                if ok {
+                    payloads.push(frame.payload.to_vec());
                 }
-            }
-        };
-
-        let file = OpenOptions::new().append(true).open(path)?;
+                ok
+            })
+        })?;
+        // Indices are consecutive, so a torn tail — even one whose frame
+        // header is unreadable — was writing the next sequence position.
+        let torn_record = (opened.damage == Some(Damage::Torn)).then_some(payloads.len() as u32);
         let writer = JournalWriter {
-            file,
-            bytes: valid_len as u64,
-            records: replay.payloads.len() as u32,
+            file: opened.file,
+            bytes: opened.len,
+            records: payloads.len() as u32,
+        };
+        let replay = Replay {
+            payloads,
+            corrupt_records: opened.damage.is_some() as usize,
+            torn_record,
+            quarantined_bytes: opened.quarantined_bytes,
+            created: opened.created,
         };
         Ok((writer, replay))
-    }
-
-    /// Scans `bytes`, filling `replay.payloads` with the valid record
-    /// prefix and returning the byte length of the valid region (header
-    /// included). Returns 0 when the header itself is unusable.
-    fn replay(
-        bytes: &[u8],
-        expected_header: &[u8],
-        identity: &str,
-        validate: &impl Fn(u32, &[u8]) -> bool,
-        replay: &mut Replay,
-    ) -> usize {
-        // Header: magic, version, and identity must all match; anything
-        // else is a foreign or damaged journal and nothing in it can be
-        // attributed to our cells.
-        if bytes.len() < HEADER_FIXED_LEN
-            || bytes[..8] != MAGIC
-            || read_u32(bytes, 8) != FORMAT_VERSION
-        {
-            replay.corrupt_records += 1;
-            return 0;
-        }
-        let id_len = read_u32(bytes, 12) as usize;
-        let id_sum = read_u64(bytes, 16);
-        if id_len != identity.len()
-            || bytes.len() < HEADER_FIXED_LEN + id_len
-            || id_sum != checksum64(identity.as_bytes())
-            || &bytes[HEADER_FIXED_LEN..HEADER_FIXED_LEN + id_len] != identity.as_bytes()
-        {
-            replay.corrupt_records += 1;
-            return 0;
-        }
-        debug_assert_eq!(&bytes[..expected_header.len()], expected_header);
-
-        let mut pos = expected_header.len();
-        loop {
-            let remaining = bytes.len() - pos;
-            if remaining == 0 {
-                return pos; // clean end
-            }
-            if remaining < RECORD_HEADER_LEN {
-                // Torn mid-frame: the next record's index is the sequence
-                // position even though its header is unreadable, because
-                // indices are consecutive by construction.
-                replay.corrupt_records += 1;
-                replay.torn_record = Some(replay.payloads.len() as u32);
-                return pos;
-            }
-            let index = read_u32(bytes, pos);
-            let len = read_u32(bytes, pos + 4);
-            let sum = read_u64(bytes, pos + 8);
-            if index != replay.payloads.len() as u32 || len > MAX_PAYLOAD_LEN {
-                replay.corrupt_records += 1;
-                return pos;
-            }
-            if (remaining - RECORD_HEADER_LEN) < len as usize {
-                // Frame header intact but payload truncated: a torn
-                // append for exactly this record.
-                replay.corrupt_records += 1;
-                replay.torn_record = Some(index);
-                return pos;
-            }
-            let payload = &bytes[pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + len as usize];
-            if checksum64(payload) != sum || !validate(index, payload) {
-                // Bit-rot or semantic damage: quarantine from here on.
-                replay.corrupt_records += 1;
-                return pos;
-            }
-            replay.payloads.push(payload.to_vec());
-            pos += RECORD_HEADER_LEN + len as usize;
-        }
     }
 }
 
@@ -472,9 +289,9 @@ mod tests {
         }
         // Flip one bit inside record 1's payload.
         let mut bytes = std::fs::read(&path).unwrap();
-        let header_len = HEADER_FIXED_LEN + 2;
-        let rec_len = RECORD_HEADER_LEN + "payload-0".len();
-        let target = header_len + rec_len + RECORD_HEADER_LEN + 3;
+        let header_len = FORMAT.header_len("id");
+        let rec_len = FORMAT.frame_header_len() + "payload-0".len();
+        let target = header_len + rec_len + FORMAT.frame_header_len() + 3;
         bytes[target] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
 
@@ -539,7 +356,7 @@ mod tests {
         }
         // Hand-append a record claiming index 5.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(&frame_record(5, b"rogue"));
+        bytes.extend_from_slice(&FORMAT.frame(&5u32.to_le_bytes(), b"rogue"));
         std::fs::write(&path, &bytes).unwrap();
         let (_, replay) = Journal::open(&path, "id", accept_all).unwrap();
         assert_eq!(replay.payloads.len(), 1);
@@ -560,25 +377,6 @@ mod tests {
             Journal::open(&path, "id", |_, p| p.starts_with(b"good")).unwrap();
         assert_eq!(replay.payloads.len(), 1, "validation failure stops the replay");
         assert_eq!(replay.corrupt_records, 1);
-    }
-
-    #[test]
-    fn atomic_write_replaces_contents() {
-        let path = tmp_journal("atomic.bin");
-        atomic_write(&path, b"first").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        atomic_write(&path, b"second-longer").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"second-longer");
-        // No temp residue.
-        assert!(!sibling_tmp_path(&path).exists());
-    }
-
-    #[test]
-    fn checksum_is_stable_and_input_sensitive() {
-        assert_eq!(checksum64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(checksum64(b"abc"), checksum64(b"abc"));
-        assert_ne!(checksum64(b"abc"), checksum64(b"abd"));
-        assert_ne!(checksum64(b"abc"), checksum64(b"ab"));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! | [`proptest`]  | `proptest`              | seeded case generation, replay via printed seed, no shrinking |
 //! | [`bench`]     | `criterion`             | warm-up + min/mean timer + counting allocator under the libtest harness |
 //! | [`fault`]     | — (new subsystem)       | seeded, replayable fault + crash schedules for chaos testing |
-//! | [`journal`]   | — (new subsystem)       | crash-consistent append-only journal (checksummed framing, atomic repair) |
+//! | [`log`]       | — (new subsystem)       | shared durable append-log format: header, checksummed frames, torn/corrupt scan, atomic repair |
+//! | [`journal`]   | — (new subsystem)       | checkpoint journal on [`log`]: consecutive record indices |
 //!
 //! Determinism is a hard requirement here, not a convenience: the paper's
 //! bound-validity experiments (PAPER.md §4–5) are only checkable if every
@@ -30,6 +31,7 @@ pub mod bench;
 pub mod fault;
 pub mod journal;
 pub mod json;
+pub mod log;
 pub mod pool;
 pub mod proptest;
 pub mod rng;

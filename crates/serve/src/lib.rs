@@ -5,10 +5,11 @@
 //! long-running system serving tradeoff-profile queries for a whole
 //! camera fleet:
 //!
-//! * [`store`] — an **indexed columnar on-disk profile store** grown out
-//!   of `rt::journal`: the same framing/checksum/atomic-repair contract
-//!   (append + `sync_data`, temp-file + rename, quarantine-never-panic),
-//!   extended with a fixed-width index segment for O(1) reopen, a
+//! * [`store`] — an **indexed columnar on-disk profile store** whose data
+//!   segment is an `rt::log` file, the format the checkpoint journal
+//!   uses: the same framing/checksum/atomic-repair contract (append +
+//!   `sync_data`, temp-file + rename, quarantine-never-panic), extended
+//!   with a fixed-width index segment for O(1) reopen, a
 //!   read-side record cache, and key-ordered compaction. Records are
 //!   keyed by `camera_id × grid` — one entry per profiled `(f, p, c)`
 //!   grid per camera.

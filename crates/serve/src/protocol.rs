@@ -19,7 +19,7 @@ use std::io::{self, Read, Write};
 use smokescreen_core::{Profile, ProfilePoint};
 use smokescreen_rt::json::{FromJson, Json, ToJson};
 
-use crate::store::StoreKey;
+use crate::store::{StoreKey, StoreStats};
 
 /// Largest accepted frame body (1 MiB). A length prefix beyond this is
 /// answered with [`ErrorCode::Oversized`] and the connection is closed —
@@ -266,189 +266,122 @@ pub fn frame_rid(request: &Json) -> Option<u64> {
     u64::from_str_radix(s, 16).ok()
 }
 
-/// Flat counter snapshot served by `STATS`.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Requests answered (any response type).
-    pub requests: u64,
-    /// Connections rejected by admission control.
-    pub overload_rejections: u64,
-    /// Frames answered with `malformed`/`oversized` errors.
-    pub protocol_errors: u64,
-    /// Live records in the store.
-    pub live_records: u64,
-    /// Data segment bytes.
-    pub data_bytes: u64,
-    /// Durable puts.
-    pub puts: u64,
-    /// Gets (hits + misses + not-found).
-    pub gets: u64,
-    /// Gets served from the read cache.
-    pub cache_hits: u64,
-    /// Gets that went to disk.
-    pub cache_misses: u64,
-    /// Records quarantined since open (lazy reads + compaction).
-    pub quarantined_records: u64,
-    /// Compactions performed.
-    pub compactions: u64,
-    /// Per-key drift monitors currently alive.
-    pub drift_monitors: u64,
-    /// Monitors whose staleness flag is latched.
-    pub stale_monitors: u64,
-    /// Retried puts absorbed by the idempotence guard (acked without
-    /// re-applying).
-    pub deduped_puts: u64,
-    /// Injected disk write faults observed at the append seam.
-    pub disk_write_faults: u64,
-    /// Injected disk read faults observed at the payload-read seam.
-    pub disk_read_faults: u64,
-    /// Injected net faults fired across all connections.
-    pub net_faults: u64,
-    /// Torn data-segment tails repaired by truncation before an append.
-    pub tail_repairs: u64,
-    /// Quarantined records healed (re-put, direct re-read, or log
-    /// fallback).
-    pub repaired_records: u64,
-    /// Live records whose checksums the scrubber has verified.
-    pub scrubbed_records: u64,
-    /// Full scrub passes completed over the live map.
-    pub scrub_passes: u64,
-    /// Records quarantined right now, awaiting repair.
-    pub quarantine_pending: u64,
-    /// Answers served while quarantined/degraded: gets refused with
-    /// `quarantined` plus profiles served with the `degraded` flag set.
-    pub degraded_answers: u64,
-    /// Keys currently enqueued for re-profiling (drift latched or
-    /// quarantine observed).
-    pub repair_queue_len: u64,
-    /// The repair queue itself: `"camera:grid"` hex pairs, sorted,
-    /// truncated to [`REPAIR_QUEUE_LIST_CAP`] entries (`repair_queue_len`
-    /// is the true length).
-    pub repair_queue: Vec<String>,
+/// Declares [`ServerStats`] from one list of counters, so each counter is
+/// named once: the macro derives the struct field, its `stats` wire key
+/// (the field name), and — for the counters the store keeps — the copy
+/// out of [`StoreStats`].
+macro_rules! server_stats {
+    (
+        server { $($(#[$server_doc:meta])* $server:ident,)* }
+        store { $($(#[$store_doc:meta])* $store:ident,)* }
+    ) => {
+        /// Flat counter snapshot served by `STATS`.
+        #[derive(Debug, Default, Clone, PartialEq)]
+        pub struct ServerStats {
+            $($(#[$server_doc])* pub $server: u64,)*
+            $($(#[$store_doc])* pub $store: u64,)*
+            /// The repair queue itself: `"camera:grid"` hex pairs, sorted,
+            /// truncated to [`REPAIR_QUEUE_LIST_CAP`] entries (`repair_queue_len`
+            /// is the true length).
+            pub repair_queue: Vec<String>,
+        }
+
+        impl ServerStats {
+            /// A snapshot holding the store's own counters, every
+            /// server-side counter zero.
+            pub(crate) fn from_store(stats: &StoreStats) -> Self {
+                ServerStats {
+                    $($store: stats.$store,)*
+                    ..ServerStats::default()
+                }
+            }
+        }
+
+        impl ToJson for ServerStats {
+            fn to_json(&self) -> Json {
+                Json::obj([
+                    $((stringify!($server), (self.$server as usize).to_json()),)*
+                    $((stringify!($store), (self.$store as usize).to_json()),)*
+                    ("repair_queue", self.repair_queue.to_json()),
+                ])
+            }
+        }
+
+        impl FromJson for ServerStats {
+            fn from_json(value: &Json) -> smokescreen_rt::json::Result<Self> {
+                Ok(ServerStats {
+                    $($server: value.get(stringify!($server))?.as_u64()?,)*
+                    $($store: value.get(stringify!($store))?.as_u64()?,)*
+                    repair_queue: FromJson::from_json(value.get("repair_queue")?)?,
+                })
+            }
+        }
+    };
+}
+
+server_stats! {
+    server {
+        /// Connections accepted.
+        connections,
+        /// Requests answered (any response type).
+        requests,
+        /// Connections rejected by admission control.
+        overload_rejections,
+        /// Frames answered with `malformed`/`oversized` errors.
+        protocol_errors,
+        /// Live records in the store.
+        live_records,
+        /// Data segment bytes.
+        data_bytes,
+        /// Per-key drift monitors currently alive.
+        drift_monitors,
+        /// Monitors whose staleness flag is latched.
+        stale_monitors,
+        /// Retried puts absorbed by the idempotence guard (acked without
+        /// re-applying).
+        deduped_puts,
+        /// Injected net faults fired across all connections.
+        net_faults,
+        /// Records quarantined right now, awaiting repair.
+        quarantine_pending,
+        /// Answers served while quarantined/degraded: gets refused with
+        /// `quarantined` plus profiles served with the `degraded` flag set.
+        degraded_answers,
+        /// Keys currently enqueued for re-profiling (drift latched or
+        /// quarantine observed).
+        repair_queue_len,
+    }
+    store {
+        /// Durable puts.
+        puts,
+        /// Gets (hits + misses + not-found).
+        gets,
+        /// Gets served from the read cache.
+        cache_hits,
+        /// Gets that went to disk.
+        cache_misses,
+        /// Records quarantined since open (lazy reads + compaction).
+        quarantined_records,
+        /// Compactions performed.
+        compactions,
+        /// Injected disk write faults observed at the append seam.
+        disk_write_faults,
+        /// Injected disk read faults observed at the payload-read seam.
+        disk_read_faults,
+        /// Torn data-segment tails repaired by truncation before an append.
+        tail_repairs,
+        /// Quarantined records healed (re-put, direct re-read, or log
+        /// fallback).
+        repaired_records,
+        /// Live records whose checksums the scrubber has verified.
+        scrubbed_records,
+        /// Full scrub passes completed over the live map.
+        scrub_passes,
+    }
 }
 
 /// Most repair-queue keys listed inline in a `stats` response.
 pub const REPAIR_QUEUE_LIST_CAP: usize = 32;
-
-impl ServerStats {
-    const FIELDS: [&'static str; 25] = [
-        "connections",
-        "requests",
-        "overload_rejections",
-        "protocol_errors",
-        "live_records",
-        "data_bytes",
-        "puts",
-        "gets",
-        "cache_hits",
-        "cache_misses",
-        "quarantined_records",
-        "compactions",
-        "drift_monitors",
-        "stale_monitors",
-        "deduped_puts",
-        "disk_write_faults",
-        "disk_read_faults",
-        "net_faults",
-        "tail_repairs",
-        "repaired_records",
-        "scrubbed_records",
-        "scrub_passes",
-        "quarantine_pending",
-        "degraded_answers",
-        "repair_queue_len",
-    ];
-
-    fn field(&self, name: &str) -> u64 {
-        match name {
-            "connections" => self.connections,
-            "requests" => self.requests,
-            "overload_rejections" => self.overload_rejections,
-            "protocol_errors" => self.protocol_errors,
-            "live_records" => self.live_records,
-            "data_bytes" => self.data_bytes,
-            "puts" => self.puts,
-            "gets" => self.gets,
-            "cache_hits" => self.cache_hits,
-            "cache_misses" => self.cache_misses,
-            "quarantined_records" => self.quarantined_records,
-            "compactions" => self.compactions,
-            "drift_monitors" => self.drift_monitors,
-            "stale_monitors" => self.stale_monitors,
-            "deduped_puts" => self.deduped_puts,
-            "disk_write_faults" => self.disk_write_faults,
-            "disk_read_faults" => self.disk_read_faults,
-            "net_faults" => self.net_faults,
-            "tail_repairs" => self.tail_repairs,
-            "repaired_records" => self.repaired_records,
-            "scrubbed_records" => self.scrubbed_records,
-            "scrub_passes" => self.scrub_passes,
-            "quarantine_pending" => self.quarantine_pending,
-            "degraded_answers" => self.degraded_answers,
-            "repair_queue_len" => self.repair_queue_len,
-            _ => unreachable!("field list is closed"),
-        }
-    }
-
-    fn field_mut(&mut self, name: &str) -> &mut u64 {
-        match name {
-            "connections" => &mut self.connections,
-            "requests" => &mut self.requests,
-            "overload_rejections" => &mut self.overload_rejections,
-            "protocol_errors" => &mut self.protocol_errors,
-            "live_records" => &mut self.live_records,
-            "data_bytes" => &mut self.data_bytes,
-            "puts" => &mut self.puts,
-            "gets" => &mut self.gets,
-            "cache_hits" => &mut self.cache_hits,
-            "cache_misses" => &mut self.cache_misses,
-            "quarantined_records" => &mut self.quarantined_records,
-            "compactions" => &mut self.compactions,
-            "drift_monitors" => &mut self.drift_monitors,
-            "stale_monitors" => &mut self.stale_monitors,
-            "deduped_puts" => &mut self.deduped_puts,
-            "disk_write_faults" => &mut self.disk_write_faults,
-            "disk_read_faults" => &mut self.disk_read_faults,
-            "net_faults" => &mut self.net_faults,
-            "tail_repairs" => &mut self.tail_repairs,
-            "repaired_records" => &mut self.repaired_records,
-            "scrubbed_records" => &mut self.scrubbed_records,
-            "scrub_passes" => &mut self.scrub_passes,
-            "quarantine_pending" => &mut self.quarantine_pending,
-            "degraded_answers" => &mut self.degraded_answers,
-            "repair_queue_len" => &mut self.repair_queue_len,
-            _ => unreachable!("field list is closed"),
-        }
-    }
-}
-
-impl ToJson for ServerStats {
-    fn to_json(&self) -> Json {
-        let mut obj = match Json::obj(
-            Self::FIELDS
-                .iter()
-                .map(|name| (*name, (self.field(name) as usize).to_json())),
-        ) {
-            Json::Obj(map) => map,
-            _ => unreachable!("obj builder returns an object"),
-        };
-        obj.insert("repair_queue".into(), self.repair_queue.to_json());
-        Json::Obj(obj)
-    }
-}
-
-impl FromJson for ServerStats {
-    fn from_json(value: &Json) -> smokescreen_rt::json::Result<Self> {
-        let mut stats = ServerStats::default();
-        for name in Self::FIELDS {
-            *stats.field_mut(name) = value.get(name)?.as_u64()?;
-        }
-        stats.repair_queue = <Vec<String> as FromJson>::from_json(value.get("repair_queue")?)?;
-        Ok(stats)
-    }
-}
 
 /// A client request.
 #[derive(Debug, Clone, PartialEq)]

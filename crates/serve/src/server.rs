@@ -514,7 +514,6 @@ impl Shared {
     /// Assembles a [`ServerStats`] snapshot (takes the state lock).
     fn snapshot(&self) -> ServerStats {
         let state = lock(&self.state);
-        let store_stats = state.store.stats();
         let drift_monitors = state
             .monitors
             .values()
@@ -538,26 +537,15 @@ impl Shared {
             protocol_errors: self.protocol_errors.load(Ordering::SeqCst),
             live_records: state.store.len() as u64,
             data_bytes: state.store.data_bytes(),
-            puts: store_stats.puts,
-            gets: store_stats.gets,
-            cache_hits: store_stats.cache_hits,
-            cache_misses: store_stats.cache_misses,
-            quarantined_records: store_stats.quarantined_records,
-            compactions: store_stats.compactions,
             drift_monitors,
             stale_monitors,
             deduped_puts: self.deduped_puts.load(Ordering::SeqCst),
-            disk_write_faults: store_stats.disk_write_faults,
-            disk_read_faults: store_stats.disk_read_faults,
             net_faults: self.net_faults.load(Ordering::SeqCst),
-            tail_repairs: store_stats.tail_repairs,
-            repaired_records: store_stats.repaired_records,
-            scrubbed_records: store_stats.scrubbed_records,
-            scrub_passes: store_stats.scrub_passes,
             quarantine_pending: state.store.quarantine_pending() as u64,
             degraded_answers: self.degraded_answers.load(Ordering::SeqCst),
             repair_queue_len: state.repair_queue.len() as u64,
             repair_queue,
+            ..ServerStats::from_store(state.store.stats())
         }
     }
 }

@@ -1,14 +1,18 @@
 //! Indexed columnar on-disk profile store.
 //!
-//! Grown out of `rt::journal`: the same framing/checksum/atomic-repair
-//! contract (append + `sync_data` before ack, temp-file + rename for every
-//! rewrite, quarantine-never-panic on corruption), extended in three ways:
+//! The data segment (`profiles.data`) is an [`rt::log`] file, the same
+//! format the checkpoint journal uses: the log owns the header, the
+//! checksummed record frame, the scan that stops at the first damaged
+//! record, and the atomic repair (append + `sync_data` before ack,
+//! temp-file + rename for every rewrite, quarantine-never-panic on
+//! corruption). The store adds three things on top:
 //!
 //! * **Keys, not sequences.** Records are keyed by
 //!   [`StoreKey`] `{ camera, grid }` — one record per profiled `(f, p, c)`
 //!   grid per camera — with a per-key sequence number instead of the
-//!   journal's single global index. Later sequence wins on replay; a
-//!   sequence rewind is corruption.
+//!   journal's single global index; the log key is the 24 bytes
+//!   `camera | grid | seq`. Later sequence wins on replay; a sequence
+//!   rewind is corruption.
 //! * **A fixed-width index segment** (`profiles.idx`), written atomically
 //!   at compaction / clean shutdown. A valid index makes reopen O(live
 //!   records) instead of O(data bytes): the map is rebuilt from 44-byte
@@ -39,6 +43,8 @@
 //! it; and an incremental scrubber ([`ProfileStore::scrub_step`]) walks
 //! the live map cross-checking payload checksums so rot is found before
 //! a reader trips on it.
+//!
+//! [`rt::log`]: smokescreen_rt::log
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -50,7 +56,7 @@ use std::sync::Arc;
 use smokescreen_core::{Aggregate, Profile, ProfilePoint};
 use smokescreen_degrade::InterventionSet;
 use smokescreen_rt::fault::{DiskFaultKind, DiskFaultPlan};
-use smokescreen_rt::journal::{atomic_write, checksum64};
+use smokescreen_rt::log::{atomic_write, checksum64, read_u32, read_u64, Damage, Frame, LogFormat};
 use smokescreen_video::codec::Quality;
 use smokescreen_video::{ObjectClass, Resolution};
 
@@ -63,24 +69,22 @@ pub const INDEX_FILE: &str = "profiles.idx";
 /// layout change; a mismatched file is quarantined wholesale, not misread.
 pub const STORE_FORMAT_VERSION: u32 = 1;
 
-/// Data-segment magic.
-const DATA_MAGIC: [u8; 8] = *b"SMKSTOR\0";
+/// The data segment's log format. Its 24-byte key makes each frame
+/// camera u64 | grid u64 | seq u64 | payload len u32 | payload checksum
+/// u64 | header checksum u64 | payload. The header checksum matters more
+/// here than in the journal: without it, a bit flip in a key or seq field
+/// with the payload intact would silently redirect an acked record.
+const DATA_LOG: LogFormat = LogFormat {
+    magic: *b"SMKSTOR\0",
+    version: STORE_FORMAT_VERSION,
+    key_len: 24,
+};
+
+/// Record frame header length: a payload starts this far past its frame.
+const REC_HEADER_LEN: usize = DATA_LOG.frame_header_len();
+
 /// Index-segment magic.
 const IDX_MAGIC: [u8; 8] = *b"SMKSIDX\0";
-
-/// Fixed portion of the data header preceding the identity bytes:
-/// magic | version u32 | identity len u32 | identity checksum u64.
-const DATA_HEADER_FIXED_LEN: usize = 8 + 4 + 4 + 8;
-
-/// Record frame: camera u64 | grid u64 | seq u64 | payload len u32
-/// | payload checksum u64 | header checksum u64 (over the preceding 36
-/// bytes). The header checksum closes the gap the journal's sequential
-/// index closes for it: without it, a bit flip in a key or seq field
-/// with the payload intact would silently redirect an acked record.
-const REC_HEADER_LEN: usize = 8 + 8 + 8 + 4 + 8 + 8;
-
-/// Bytes of the record frame covered by the trailing header checksum.
-const REC_HEADER_SUMMED: usize = REC_HEADER_LEN - 8;
 
 /// Index header: magic | version u32 | identity checksum u64 | entry
 /// count u32 | data high-water u64 | entries checksum u64.
@@ -89,9 +93,6 @@ const IDX_HEADER_LEN: usize = 8 + 4 + 8 + 4 + 8 + 8;
 /// Index entry: camera u64 | grid u64 | seq u64 | payload offset u64
 /// | payload len u32 | payload checksum u64.
 const IDX_ENTRY_LEN: usize = 8 + 8 + 8 + 8 + 4 + 8;
-
-/// Upper bound on a single payload (1 GiB); larger can only be corruption.
-const MAX_PAYLOAD_LEN: u32 = 1 << 30;
 
 /// Upper bound on profile points per record accepted by the decoder; a
 /// larger count in a stored payload can only come from corruption.
@@ -260,6 +261,17 @@ struct IndexEntry {
     checksum: u64,
 }
 
+impl IndexEntry {
+    fn of(seq: u64, frame: &Frame) -> Self {
+        IndexEntry {
+            seq,
+            offset: frame.payload_at as u64,
+            len: frame.payload.len() as u32,
+            checksum: frame.checksum,
+        }
+    }
+}
+
 /// A record pulled out of the live map by a failed read, awaiting repair.
 #[derive(Debug, Clone)]
 struct QuarantineSlot {
@@ -347,60 +359,44 @@ impl ProfileStore {
         std::fs::create_dir_all(dir)?;
         let data_path = dir.join(DATA_FILE);
         let idx_path = dir.join(INDEX_FILE);
-        let header = data_header_bytes(identity);
         let mut replay = StoreReplay::default();
         let mut map = BTreeMap::new();
-
-        let existing: Option<Vec<u8>> = match std::fs::read(&data_path) {
-            Ok(bytes) => Some(bytes),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-
-        let data_len = match existing {
-            None => {
-                replay.created = true;
-                atomic_write(&data_path, &header)?;
-                let _ = std::fs::remove_file(&idx_path);
-                header.len() as u64
-            }
-            Some(bytes) if !bytes.starts_with(&header) => {
-                // Foreign identity, wrong version, damaged or truncated
-                // header: nothing in the file can be attributed to our
-                // keys — quarantine wholesale and start clean.
-                replay.quarantined_records += 1;
-                replay.quarantined_bytes = bytes.len() as u64;
-                atomic_write(&data_path, &header)?;
-                let _ = std::fs::remove_file(&idx_path);
-                header.len() as u64
-            }
-            Some(bytes) => {
-                let scan_from =
-                    match load_index(&idx_path, identity, &bytes, header.len(), &mut map) {
-                        Some(high_water) => {
-                            replay.index_used = true;
-                            high_water as usize
-                        }
-                        None => header.len(),
-                    };
-                let valid = scan_records(&bytes, scan_from, &mut map, &mut replay);
-                if valid < bytes.len() {
-                    replay.quarantined_bytes += (bytes.len() - valid) as u64;
-                    atomic_write(&data_path, &bytes[..valid])?;
+        let opened = DATA_LOG.open(&data_path, identity, |bytes, header_len| {
+            let from = match load_index(&idx_path, identity, bytes, header_len, &mut map) {
+                Some(high_water) => {
+                    replay.index_used = true;
+                    high_water as usize
                 }
-                valid as u64
-            }
-        };
-
+                None => header_len,
+            };
+            DATA_LOG.scan(bytes, from, |frame| {
+                let (key, seq) = parse_record_key(frame.key);
+                // Per-key sequences only advance; a rewind means these
+                // bytes are not an append stream we wrote.
+                if seq == 0 || map.get(&key).is_some_and(|prev| seq <= prev.seq) {
+                    return false;
+                }
+                map.insert(key, IndexEntry::of(seq, frame));
+                replay.scanned_records += 1;
+                true
+            })
+        })?;
+        if opened.created || opened.damage == Some(Damage::Header) {
+            // A fresh data segment: no old index entry can describe it.
+            let _ = std::fs::remove_file(&idx_path);
+        }
+        replay.created = opened.created;
+        replay.quarantined_records = opened.damage.is_some() as usize;
+        replay.quarantined_bytes = opened.quarantined_bytes;
+        replay.torn_tail = opened.damage == Some(Damage::Torn);
         replay.records = map.len();
-        let data = OpenOptions::new().append(true).open(&data_path)?;
         Ok((
             ProfileStore {
                 dir: dir.to_path_buf(),
                 identity: identity.to_string(),
-                data,
+                data: opened.file,
                 read: None,
-                data_len,
+                data_len: opened.len,
                 map,
                 cache: BTreeMap::new(),
                 cache_cap,
@@ -481,7 +477,7 @@ impl ProfileStore {
         self.repair_tail()?;
         let payload = encode_profile(profile);
         let seq = self.seq(key) + 1;
-        let frame = frame_record(key, seq, &payload);
+        let frame = DATA_LOG.frame(&record_key(key, seq), &payload);
         if let Some(plan) = self.faults {
             let attempt = self.write_attempts.entry((key, seq)).or_insert(0);
             *attempt += 1;
@@ -509,16 +505,7 @@ impl ProfileStore {
                 checksum: checksum64(&payload),
             },
         );
-        self.tick += 1;
-        self.cache.insert(
-            key,
-            CacheSlot {
-                last_use: self.tick,
-                seq,
-                profile: Arc::new(profile.clone()),
-            },
-        );
-        self.evict();
+        self.cache_insert(key, seq, Arc::new(profile.clone()));
         self.stats.puts += 1;
         Ok(seq)
     }
@@ -577,12 +564,11 @@ impl ProfileStore {
     pub fn put_torn(&mut self, key: StoreKey, profile: &Profile, keep_frac: f64) -> io::Result<()> {
         let payload = encode_profile(profile);
         let seq = self.seq(key) + 1;
-        let frame = frame_record(key, seq, &payload);
-        let keep_payload = (payload.len() as f64 * keep_frac.clamp(0.0, 1.0)) as usize;
-        let keep = (REC_HEADER_LEN + keep_payload).min(frame.len().saturating_sub(1));
-        self.data.write_all(&frame[..keep])?;
+        let frame = DATA_LOG.frame(&record_key(key, seq), &payload);
+        let torn = DATA_LOG.torn_prefix(&frame, keep_frac);
+        self.data.write_all(torn)?;
         self.data.sync_data()?;
-        self.data_len += keep as u64;
+        self.data_len += torn.len() as u64;
         self.poisoned = true;
         Ok(())
     }
@@ -638,16 +624,7 @@ impl ProfileStore {
         match decode_profile(&payload) {
             Ok(profile) => {
                 let profile = Arc::new(profile);
-                self.tick += 1;
-                self.cache.insert(
-                    key,
-                    CacheSlot {
-                        last_use: self.tick,
-                        seq: entry.seq,
-                        profile: profile.clone(),
-                    },
-                );
-                self.evict();
+                self.cache_insert(key, entry.seq, profile.clone());
                 Ok(GetOutcome::Hit {
                     seq: entry.seq,
                     profile,
@@ -715,16 +692,7 @@ impl ProfileStore {
                 self.map.insert(key, entry.clone());
                 self.stats.repaired_records += 1;
                 let profile = Arc::new(profile);
-                self.tick += 1;
-                self.cache.insert(
-                    key,
-                    CacheSlot {
-                        last_use: self.tick,
-                        seq: entry.seq,
-                        profile: profile.clone(),
-                    },
-                );
-                self.evict();
+                self.cache_insert(key, entry.seq, profile.clone());
                 Ok(Some((entry.seq, profile)))
             }
             None => {
@@ -748,43 +716,18 @@ impl ProfileStore {
             None => return Ok(false),
         };
         let bytes = std::fs::read(self.data_path())?;
-        let mut pos = data_header_bytes(&self.identity).len();
         let mut best: Option<IndexEntry> = None;
-        while bytes.len() - pos >= REC_HEADER_LEN {
-            if read_u64(&bytes, pos + REC_HEADER_SUMMED)
-                != checksum64(&bytes[pos..pos + REC_HEADER_SUMMED])
-            {
-                break; // framing lost — nothing past here is walkable
-            }
-            let camera = read_u64(&bytes, pos);
-            let grid = read_u64(&bytes, pos + 8);
-            let seq = read_u64(&bytes, pos + 16);
-            let len = read_u32(&bytes, pos + 24);
-            let sum = read_u64(&bytes, pos + 28);
-            if len > MAX_PAYLOAD_LEN || seq == 0 {
-                break;
-            }
-            let payload_at = pos + REC_HEADER_LEN;
-            let end = match payload_at.checked_add(len as usize) {
-                Some(e) if e <= bytes.len() => e,
-                _ => break,
-            };
-            let payload = &bytes[payload_at..end];
-            if StoreKey::new(camera, grid) == key
+        for frame in DATA_LOG.frames(&bytes, DATA_LOG.header_len(&self.identity)) {
+            let (frame_key, seq) = parse_record_key(frame.key);
+            if frame_key == key
                 && seq <= slot.entry.seq
-                && payload_at as u64 != slot.entry.offset
-                && checksum64(payload) == sum
-                && decode_profile(payload).is_ok()
-                && best.as_ref().map_or(true, |b| seq >= b.seq)
+                && frame.payload_at as u64 != slot.entry.offset
+                && frame.intact()
+                && decode_profile(frame.payload).is_ok()
+                && best.as_ref().is_none_or(|b| seq >= b.seq)
             {
-                best = Some(IndexEntry {
-                    seq,
-                    offset: payload_at as u64,
-                    len,
-                    checksum: sum,
-                });
+                best = Some(IndexEntry::of(seq, &frame));
             }
-            pos = end;
         }
         match best {
             Some(entry) => {
@@ -915,9 +858,8 @@ impl ProfileStore {
         }
         self.quarantined.clear();
         let data = std::fs::read(self.data_path())?;
-        let header = data_header_bytes(&self.identity);
         let mut out = Vec::with_capacity(data.len());
-        out.extend_from_slice(&header);
+        out.extend_from_slice(&DATA_LOG.header(&self.identity));
         let mut new_map = BTreeMap::new();
         for (key, e) in &self.map {
             let start = e.offset as usize;
@@ -931,16 +873,8 @@ impl ProfileStore {
                 continue;
             }
             let offset = (out.len() + REC_HEADER_LEN) as u64;
-            out.extend_from_slice(&frame_record(*key, e.seq, payload));
-            new_map.insert(
-                *key,
-                IndexEntry {
-                    seq: e.seq,
-                    offset,
-                    len: e.len,
-                    checksum: e.checksum,
-                },
-            );
+            out.extend_from_slice(&DATA_LOG.frame(&record_key(*key, e.seq), payload));
+            new_map.insert(*key, IndexEntry { offset, ..e.clone() });
         }
         atomic_write(&self.data_path(), &out)?;
         let reclaimed = self.data_len.saturating_sub(out.len() as u64);
@@ -965,9 +899,7 @@ impl ProfileStore {
     fn write_index(&self) -> io::Result<()> {
         let mut entries = Vec::with_capacity(self.map.len() * IDX_ENTRY_LEN);
         for (key, e) in &self.map {
-            entries.extend_from_slice(&key.camera.to_le_bytes());
-            entries.extend_from_slice(&key.grid.to_le_bytes());
-            entries.extend_from_slice(&e.seq.to_le_bytes());
+            entries.extend_from_slice(&record_key(*key, e.seq));
             entries.extend_from_slice(&e.offset.to_le_bytes());
             entries.extend_from_slice(&e.len.to_le_bytes());
             entries.extend_from_slice(&e.checksum.to_le_bytes());
@@ -983,7 +915,12 @@ impl ProfileStore {
         atomic_write(&self.index_path(), &buf)
     }
 
-    fn evict(&mut self) {
+    /// Caches `profile` as the most recently used entry, evicting the
+    /// least recently used past capacity.
+    fn cache_insert(&mut self, key: StoreKey, seq: u64, profile: Arc<Profile>) {
+        self.tick += 1;
+        let last_use = self.tick;
+        self.cache.insert(key, CacheSlot { last_use, seq, profile });
         while self.cache.len() > self.cache_cap {
             let oldest = self
                 .cache
@@ -996,27 +933,18 @@ impl ProfileStore {
     }
 }
 
-fn data_header_bytes(identity: &str) -> Vec<u8> {
-    let id = identity.as_bytes();
-    let mut buf = Vec::with_capacity(DATA_HEADER_FIXED_LEN + id.len());
-    buf.extend_from_slice(&DATA_MAGIC);
-    buf.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&(id.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&checksum64(id).to_le_bytes());
-    buf.extend_from_slice(id);
-    buf
+/// The data-log key of a record: camera | grid | seq.
+fn record_key(key: StoreKey, seq: u64) -> [u8; 24] {
+    let mut out = [0u8; 24];
+    out[..8].copy_from_slice(&key.camera.to_le_bytes());
+    out[8..16].copy_from_slice(&key.grid.to_le_bytes());
+    out[16..].copy_from_slice(&seq.to_le_bytes());
+    out
 }
 
-fn frame_record(key: StoreKey, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(REC_HEADER_LEN + payload.len());
-    buf.extend_from_slice(&key.camera.to_le_bytes());
-    buf.extend_from_slice(&key.grid.to_le_bytes());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&checksum64(payload).to_le_bytes());
-    buf.extend_from_slice(&checksum64(&buf).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf
+/// Inverse of [`record_key`].
+fn parse_record_key(raw: &[u8]) -> (StoreKey, u64) {
+    (StoreKey::new(read_u64(raw, 0), read_u64(raw, 8)), read_u64(raw, 16))
 }
 
 /// Folds a record identity (and attempt ordinal) into the 64-bit
@@ -1029,14 +957,6 @@ pub(crate) fn op_key(key: StoreKey, seq: u64, attempt: u32) -> u64 {
     x ^= key.grid.rotate_left(21);
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9) ^ seq.rotate_left(42);
     x.wrapping_mul(0x94D0_49BB_1331_11EB) ^ attempt as u64
-}
-
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("bounds checked"))
-}
-
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
 }
 
 /// Attempts the index fast path: returns the data high-water mark to scan
@@ -1072,34 +992,30 @@ fn load_index(
     if checksum64(entries) != entries_sum {
         return None;
     }
+    // Entries may only describe frames below the high-water mark.
+    let indexed = &data[..high_water as usize];
     let mut loaded = BTreeMap::new();
-    for i in 0..count {
-        let at = i * IDX_ENTRY_LEN;
-        let camera = read_u64(entries, at);
-        let grid = read_u64(entries, at + 8);
-        let seq = read_u64(entries, at + 16);
-        let offset = read_u64(entries, at + 24);
-        let len = read_u32(entries, at + 32);
-        let sum = read_u64(entries, at + 36);
-        if offset < (data_header_len + REC_HEADER_LEN) as u64
-            || offset + len as u64 > high_water
-            || seq == 0
-        {
-            return None;
-        }
-        let rec = offset as usize - REC_HEADER_LEN;
-        if read_u64(data, rec) != camera
-            || read_u64(data, rec + 8) != grid
-            || read_u64(data, rec + 16) != seq
-            || read_u32(data, rec + 24) != len
-            || read_u64(data, rec + 28) != sum
-            || read_u64(data, rec + REC_HEADER_SUMMED)
-                != checksum64(&data[rec..rec + REC_HEADER_SUMMED])
+    for entry in entries.chunks_exact(IDX_ENTRY_LEN) {
+        let (key, seq) = parse_record_key(&entry[..24]);
+        let offset = read_u64(entry, 24);
+        let len = read_u32(entry, 32);
+        let sum = read_u64(entry, 36);
+        // Checked: an index with a valid checksum can still carry any
+        // offset, and it must fall back to the scan, never panic.
+        let rec = usize::try_from(offset)
+            .ok()?
+            .checked_sub(REC_HEADER_LEN)
+            .filter(|&rec| rec >= data_header_len)?;
+        let frame = DATA_LOG.frame_at(indexed, rec).ok()?;
+        if seq == 0
+            || frame.key != &entry[..24]
+            || frame.payload.len() != len as usize
+            || frame.checksum != sum
         {
             return None;
         }
         let prev = loaded.insert(
-            StoreKey { camera, grid },
+            key,
             IndexEntry {
                 seq,
                 offset,
@@ -1113,78 +1029,6 @@ fn load_index(
     }
     *map = loaded;
     Some(high_water)
-}
-
-/// Scans data bytes from `from`, folding valid records into `map` (later
-/// per-key sequence wins) and returning the byte length of the valid
-/// region. Stops at the first damaged record: framing downstream of
-/// damage cannot be trusted, exactly as in journal replay.
-fn scan_records(
-    bytes: &[u8],
-    from: usize,
-    map: &mut BTreeMap<StoreKey, IndexEntry>,
-    replay: &mut StoreReplay,
-) -> usize {
-    let mut pos = from;
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            return pos; // clean end
-        }
-        if remaining < REC_HEADER_LEN {
-            replay.quarantined_records += 1;
-            replay.torn_tail = true;
-            return pos;
-        }
-        if read_u64(bytes, pos + REC_HEADER_SUMMED)
-            != checksum64(&bytes[pos..pos + REC_HEADER_SUMMED])
-        {
-            // Damaged frame header: no field in it can be trusted, not
-            // even the length that would locate the next record.
-            replay.quarantined_records += 1;
-            return pos;
-        }
-        let camera = read_u64(bytes, pos);
-        let grid = read_u64(bytes, pos + 8);
-        let seq = read_u64(bytes, pos + 16);
-        let len = read_u32(bytes, pos + 24);
-        let sum = read_u64(bytes, pos + 28);
-        if len > MAX_PAYLOAD_LEN || seq == 0 {
-            replay.quarantined_records += 1;
-            return pos;
-        }
-        if remaining - REC_HEADER_LEN < len as usize {
-            // Frame header intact but payload truncated: a torn append.
-            replay.quarantined_records += 1;
-            replay.torn_tail = true;
-            return pos;
-        }
-        let payload = &bytes[pos + REC_HEADER_LEN..pos + REC_HEADER_LEN + len as usize];
-        if checksum64(payload) != sum {
-            replay.quarantined_records += 1;
-            return pos;
-        }
-        let key = StoreKey { camera, grid };
-        if let Some(prev) = map.get(&key) {
-            // Per-key sequences only advance; a rewind means these bytes
-            // are not an append stream we wrote.
-            if seq <= prev.seq {
-                replay.quarantined_records += 1;
-                return pos;
-            }
-        }
-        map.insert(
-            key,
-            IndexEntry {
-                seq,
-                offset: (pos + REC_HEADER_LEN) as u64,
-                len,
-                checksum: sum,
-            },
-        );
-        replay.scanned_records += 1;
-        pos += REC_HEADER_LEN + len as usize;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1702,7 +1546,7 @@ mod tests {
         let rec_starts: Vec<usize>;
         {
             let (mut store, _) = ProfileStore::open(&dir, "fleet").unwrap();
-            let header = data_header_bytes("fleet").len();
+            let header = DATA_LOG.header_len("fleet");
             let mut starts = vec![header as u64];
             for k in &keys {
                 store.put(*k, &sample_profile(k.camera)).unwrap();
@@ -1771,6 +1615,62 @@ mod tests {
         assert_eq!(replay.scanned_records, 1, "full scan fallback");
         assert_eq!(replay.quarantined_records, 0, "data was never damaged");
         assert_eq!(*store.get(key).unwrap().unwrap().1, sample_profile(1));
+    }
+
+    #[test]
+    fn self_consistent_index_with_overflowing_offset_falls_back_to_scan() {
+        let dir = tmp_store("idx-overflow");
+        let keys: Vec<StoreKey> = (0..3).map(|i| StoreKey::new(i, 4)).collect();
+        {
+            let (mut store, _) = ProfileStore::open(&dir, "fleet").unwrap();
+            for k in &keys {
+                store.put(*k, &sample_profile(k.camera)).unwrap();
+            }
+            store.compact().unwrap();
+        }
+        // Point the first entry's offset near u64::MAX and re-seal the
+        // entries checksum: the index stays self-consistent, so only the
+        // offset arithmetic stands between it and the data bytes.
+        let idx = dir.join(INDEX_FILE);
+        let mut bytes = std::fs::read(&idx).unwrap();
+        let at = IDX_HEADER_LEN + 24;
+        bytes[at..at + 8].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
+        let sum = checksum64(&bytes[IDX_HEADER_LEN..]);
+        bytes[32..40].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&idx, &bytes).unwrap();
+        let (mut store, replay) = ProfileStore::open(&dir, "fleet").unwrap();
+        assert!(!replay.index_used, "an impossible offset rejects the index");
+        assert_eq!(replay.records, keys.len());
+        assert_eq!(replay.scanned_records, keys.len(), "full scan fallback");
+        assert_eq!(replay.quarantined_records, 0);
+        for k in &keys {
+            assert_eq!(*store.get(*k).unwrap().unwrap().1, sample_profile(k.camera));
+        }
+    }
+
+    #[test]
+    fn data_frame_layout_is_unchanged() {
+        // Format version 1, spelled out field by field: camera | grid |
+        // seq | len | payload checksum | header checksum | payload.
+        let payload = b"columnar-payload";
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&7u64.to_le_bytes());
+        expected.extend_from_slice(&9u64.to_le_bytes());
+        expected.extend_from_slice(&3u64.to_le_bytes());
+        expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        expected.extend_from_slice(&checksum64(payload).to_le_bytes());
+        let header_sum = checksum64(&expected);
+        expected.extend_from_slice(&header_sum.to_le_bytes());
+        expected.extend_from_slice(payload);
+        let frame = DATA_LOG.frame(&record_key(StoreKey::new(7, 9), 3), payload);
+        assert_eq!(frame, expected);
+        assert_eq!(REC_HEADER_LEN, 44);
+        let mut header = b"SMKSTOR\0".to_vec();
+        header.extend_from_slice(&1u32.to_le_bytes());
+        header.extend_from_slice(&5u32.to_le_bytes());
+        header.extend_from_slice(&checksum64(b"fleet").to_le_bytes());
+        header.extend_from_slice(b"fleet");
+        assert_eq!(DATA_LOG.header("fleet"), header);
     }
 
     #[test]

@@ -51,6 +51,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use smokescreen_rt::fault::{mix, parse_seed_rate, plan_from_env};
 use smokescreen_rt::rng::StdRng;
 
 use crate::corpus::VideoCorpus;
@@ -223,14 +224,10 @@ impl PerturbPlan {
     /// kind, or a bogus kind even when disabled) are a loud startup error,
     /// matching [`FaultPlan::from_env`](smokescreen_rt::fault::FaultPlan).
     pub fn from_env() -> Option<Self> {
-        match Self::parse_env(
-            std::env::var(PERTURB_SEED_ENV).ok().as_deref(),
-            std::env::var(PERTURB_RATE_ENV).ok().as_deref(),
-            std::env::var(PERTURB_KIND_ENV).ok().as_deref(),
-        ) {
-            Ok(plan) => plan,
-            Err(msg) => panic!("{msg}"),
-        }
+        plan_from_env(
+            [PERTURB_SEED_ENV, PERTURB_RATE_ENV, PERTURB_KIND_ENV],
+            |[seed, rate, kind]| Self::parse_env(seed, rate, kind),
+        )
     }
 
     /// Parse layer behind [`PerturbPlan::from_env`], exposed for tests.
@@ -240,25 +237,20 @@ impl PerturbPlan {
         rate: Option<&str>,
         kind: Option<&str>,
     ) -> Result<Option<Self>, String> {
-        let seed = parse_seed(PERTURB_SEED_ENV, seed)?;
+        let armed = parse_seed_rate(PERTURB_SEED_ENV, seed, PERTURB_RATE_ENV, rate)?;
         // The kind is validated even when the rate leaves the plan
         // disabled — a typo'd kind is a configuration bug either way.
-        let kind = match kind {
-            None => None,
-            Some(raw) => Some(
-                raw.parse::<PerturbKind>()
-                    .map_err(|e| format!("{PERTURB_KIND_ENV}: {e}"))?,
-            ),
-        };
-        match parse_rate(PERTURB_RATE_ENV, rate)? {
-            Some(rate) if rate > 0.0 => match kind {
-                Some(kind) => Ok(Some(PerturbPlan::new(seed, rate, kind))),
-                None => Err(format!(
-                    "{PERTURB_KIND_ENV} must be set when {PERTURB_RATE_ENV} > 0 \
-                     (expected occlusion|glare|shake|label-flip|drift)"
-                )),
-            },
-            _ => Ok(None),
+        let kind = kind
+            .map(|raw| raw.parse::<PerturbKind>())
+            .transpose()
+            .map_err(|e| format!("{PERTURB_KIND_ENV}: {e}"))?;
+        match (armed, kind) {
+            (None, _) => Ok(None),
+            (Some((seed, rate)), Some(kind)) => Ok(Some(PerturbPlan::new(seed, rate, kind))),
+            (Some(_), None) => Err(format!(
+                "{PERTURB_KIND_ENV} must be set when {PERTURB_RATE_ENV} > 0 \
+                 (expected occlusion|glare|shake|label-flip|drift)"
+            )),
         }
     }
 
@@ -440,47 +432,6 @@ pub fn flip_class(class: ObjectClass) -> ObjectClass {
         ObjectClass::Person => ObjectClass::Person,
         ObjectClass::Face => ObjectClass::Face,
     }
-}
-
-/// Strictly parses a seed variable: unset defaults to 0, anything set
-/// must be a decimal `u64`. (Mirrors `rt::fault`'s private helper — the
-/// convention is shared, the code deliberately lives with its consumer.)
-fn parse_seed(var: &str, raw: Option<&str>) -> Result<u64, String> {
-    match raw {
-        None => Ok(0),
-        Some(s) => s
-            .trim()
-            .parse()
-            .map_err(|_| format!("{var} must be a decimal u64 seed, got {s:?}")),
-    }
-}
-
-/// Strictly parses a rate variable: unset means disabled, anything set
-/// must be a finite `f64` in `[0, 1]`.
-fn parse_rate(var: &str, raw: Option<&str>) -> Result<Option<f64>, String> {
-    match raw {
-        None => Ok(None),
-        Some(s) => {
-            let rate: f64 = s
-                .trim()
-                .parse()
-                .map_err(|_| format!("{var} must be a rate in [0, 1], got {s:?}"))?;
-            if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                return Err(format!("{var} must be a rate in [0, 1], got {s:?}"));
-            }
-            Ok(Some(rate))
-        }
-    }
-}
-
-/// Avalanches `(seed, key)` into one well-mixed 64-bit stream seed
-/// (SplitMix64 finalizer over both words — same construction as
-/// `rt::fault`, salted differently via [`PERTURB_STREAM_SALT`]).
-fn mix(seed: u64, key: u64) -> u64 {
-    let mut x = seed ^ key.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -326,6 +326,41 @@ fn corrupted_journals_quarantine_cleanly_and_never_change_the_profile() {
 }
 
 #[test]
+fn v1_journal_is_quarantined_wholesale_and_recomputed() {
+    // A journal written before frames carried a header checksum (format
+    // version 1: `index u32 | len u32 | payload checksum u64 | payload`)
+    // must never be misread as version 2: it is quarantined wholesale,
+    // every cell is recomputed, and the profile is unchanged.
+    let fx = fixture();
+    let (reference, _) = generate(&fx, 2, None, None, None).unwrap();
+    let dir = checkpoint_dir("v1");
+    generate(&fx, 2, None, Some(&dir), None).unwrap();
+    let path = journal_file(&dir);
+    let v2 = std::fs::read(&path).unwrap();
+
+    // Rewrite the journal in the version-1 layout.
+    let header_len = 24 + u32::from_le_bytes(v2[12..16].try_into().unwrap()) as usize;
+    let mut v1 = v2[..header_len].to_vec();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let mut pos = header_len;
+    while pos < v2.len() {
+        let len = u32::from_le_bytes(v2[pos + 4..pos + 8].try_into().unwrap()) as usize;
+        v1.extend_from_slice(&v2[pos..pos + 16]);
+        v1.extend_from_slice(&v2[pos + 24..pos + 24 + len]);
+        pos += 24 + len;
+    }
+    assert_eq!(v1.len(), v2.len() - 8 * N_CELLS, "8 header-checksum bytes per record");
+    std::fs::write(&path, &v1).unwrap();
+
+    let (profile, report) = generate(&fx, 2, None, Some(&dir), None).unwrap();
+    assert_eq!(profile.to_json().unwrap(), reference.to_json().unwrap());
+    assert_eq!(report.journal_corrupt_records, 1, "quarantined wholesale, counted once");
+    assert_eq!(report.cells_resumed, 0, "no version-1 cell is trusted");
+    assert_eq!(std::fs::read(&path).unwrap(), v2, "rewritten as a version-2 journal");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn env_configured_crash_resume_matrix_is_deterministic() {
     // The CI entry point: ci.sh runs this test across SMOKESCREEN_CRASH_SEED
     // × SMOKESCREEN_THREADS × SMOKESCREEN_FAULT_RATE, asserting every
