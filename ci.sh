@@ -27,6 +27,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Snapshot the checkout so the closing hygiene check can prove ci.sh
+# leaves it exactly as it found it.
+status_before="$(git status --porcelain)"
+diff_before="$(git diff | cksum)"
+
 cargo build --release --offline --workspace
 
 echo "=== test suite @ SMOKESCREEN_THREADS=1 ==="
@@ -71,21 +76,13 @@ for crash_seed in 1 3; do
   done
 done
 
-echo "=== estimator kernels: batch vs incremental sweep ==="
-# Smoke-runs the incremental-kernel bench: asserts the ≥3× estimation
-# speedup on quantile-heavy sweeps and that the kernel path is
-# bit-identical to the batch reference.
-cargo test -q --offline -p smokescreen-bench --bench estimator_kernels
-
 echo "=== perf trajectory: smoke run + schema gate + regression exit code ==="
 # The trajectory harness smoke-runs the full bench suite on a tiny corpus
 # (2 reps) and validates the emitted BENCH_*.json against the structural
 # schema golden — a malformed or missing field fails the build here and
 # in tests/trajectory_schema.rs. The harness itself is then proven to
 # gate: `check` against a synthetically 10×-faster prior must exit
-# non-zero, and a self-check must exit zero. Reps/threshold are
-# overridable via SMOKESCREEN_BENCH_REPS / SMOKESCREEN_BENCH_THRESHOLD
-# (see EXPERIMENTS.md).
+# non-zero, and a self-check must exit zero.
 trajdir="$(mktemp -d)"
 trap 'rm -rf "$trajdir"' EXIT
 ./target/release/trajectory run --smoke --reps 2 --pr 6 --out "$trajdir" \
@@ -101,6 +98,15 @@ if ./target/release/trajectory check \
   exit 1
 fi
 echo "trajectory smoke + schema + regression gate ok"
+
+echo "=== perf trajectory: full run, every acceptance floor enforced ==="
+# A paper-scale run re-measures every floor in trajectory::FLOORS (pool
+# scaling at 4/8/16 workers, slice-path ingest, incremental sweep on
+# MAX and MEDIAN) plus the zero-alloc cell path, and exits non-zero if
+# any falls short. It gets its own empty directory: in "$trajdir" itself
+# it would pick the smoke BENCH_6.json as its baseline and refuse the
+# smoke-vs-full comparison.
+./target/release/trajectory run --reps 2 --pr 14 --out "$trajdir/full"
 
 echo "=== perf trajectory: committed BENCH files stay comparable ==="
 # The committed PR-10 trajectory must still pass the threshold gate
@@ -241,16 +247,12 @@ SMOKESCREEN_PERTURB_SEED=7 SMOKESCREEN_PERTURB_RATE=0 SMOKESCREEN_PERTURB_KIND=g
   cargo test -q --offline --test crash_resume
 echo "zero-rate perturbation plan is byte-invisible"
 
-echo "=== checkout hygiene: no untracked files left behind ==="
+echo "=== checkout hygiene: ci.sh leaves the checkout as it found it ==="
 # Every step above must clean up after itself or write only under ignored
-# paths (target/, mktemp directories). The check covers *untracked* files
-# only: the estimator-kernels step rewrites the tracked
-# bench_results/estimator_kernels.csv on every run, so a full dirty-tree
-# check would always trip.
-untracked="$(git ls-files --others --exclude-standard)"
-if [ -n "$untracked" ]; then
-  echo "untracked files left in the checkout:" >&2
-  echo "$untracked" >&2
+# paths (target/, mktemp directories): no new, deleted or modified file.
+if [ "$(git status --porcelain)" != "$status_before" ] || [ "$(git diff | cksum)" != "$diff_before" ]; then
+  echo "ci.sh changed the checkout:" >&2
+  git status --porcelain >&2
   exit 1
 fi
-echo "no untracked files left in the checkout"
+echo "checkout unchanged"

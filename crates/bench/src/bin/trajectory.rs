@@ -11,32 +11,31 @@
 //! (default `bench_results/`), optionally validates its structural schema
 //! against a golden, compares against `--baseline` (default: the highest
 //! `BENCH_<m>.json` with `m < pr` in the out dir), and on full (non-smoke)
-//! runs asserts the slice-path ingest floors. `check` compares two
+//! runs asserts every floor in `trajectory::FLOORS`. `check` compares two
 //! existing files. Exit codes: 0 ok, 1 regression or floor failure, 2
-//! usage/schema/IO error.
-//!
-//! Knobs: `SMOKESCREEN_BENCH_REPS` (repetitions), `SMOKESCREEN_BENCH_THRESHOLD`
-//! (regression threshold, overridden by `--threshold`).
+//! usage/schema/IO error — including a malformed flag value, which is
+//! never silently replaced by a default.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use smokescreen_bench::trajectory::{
-    compare, git_rev, highest_bench_number, latest_bench_below, reps_from_env, run, schema_of,
-    threshold_from_env, Trajectory, TrajectoryConfig, DEFAULT_THRESHOLD,
+    check_floors, compare, git_rev, highest_bench_number, latest_bench_below, run, schema_of,
+    Trajectory, TrajectoryConfig, DEFAULT_THRESHOLD,
 };
 use smokescreen_rt::json::Json;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let result = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("check") => cmd_check(&args[1..]),
-        _ => {
-            eprintln!("usage: trajectory run [flags] | trajectory check --prev F --cur F");
-            ExitCode::from(2)
-        }
-    }
+        _ => Err("usage: trajectory run [flags] | trajectory check --prev F --cur F".into()),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("trajectory: {e}");
+        ExitCode::from(2)
+    })
 }
 
 /// Pulls the value of `--flag VALUE` out of `args`, if present.
@@ -51,42 +50,54 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn threshold(args: &[String]) -> Result<f64, String> {
-    match flag_value(args, "--threshold") {
-        Some(raw) => raw
-            .parse::<f64>()
-            .map_err(|_| format!("--threshold {raw:?} is not a number")),
-        None => Ok(threshold_from_env().unwrap_or(DEFAULT_THRESHOLD)),
+/// Parses `--flag VALUE` strictly: `Ok(None)` when the flag is absent,
+/// an error naming the flag and quoting the value when it does not parse
+/// or fails `valid` (described by `expected`).
+fn parse_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<Option<T>, String> {
+    let Some(raw) = flag_value(args, flag) else {
+        return Ok(None);
+    };
+    match raw.parse::<T>() {
+        Ok(v) if valid(&v) => Ok(Some(v)),
+        _ => Err(format!("{flag} {raw:?} is not {expected}")),
     }
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
+/// The regression threshold: a finite fraction ≥ 0. NaN or infinity
+/// would make every comparison pass, switching the gate off.
+fn threshold(args: &[String]) -> Result<f64, String> {
+    let t = parse_flag(args, "--threshold", "a finite number >= 0", |t: &f64| {
+        t.is_finite() && *t >= 0.0
+    })?;
+    Ok(t.unwrap_or(DEFAULT_THRESHOLD))
+}
+
+fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let mut config = if has_flag(args, "--smoke") {
         TrajectoryConfig::smoke()
     } else {
         TrajectoryConfig::full()
     };
-    if let Some(reps) = flag_value(args, "--reps").and_then(|r| r.parse().ok()) {
-        config.reps = reps;
-    } else if let Some(reps) = reps_from_env() {
+    let positive = |n: &usize| *n > 0;
+    if let Some(reps) = parse_flag(args, "--reps", "a positive integer", positive)? {
         config.reps = reps;
     }
-    if let Some(threads) = flag_value(args, "--threads").and_then(|t| t.parse().ok()) {
+    if let Some(threads) = parse_flag(args, "--threads", "a positive integer", positive)? {
         config.threads = threads;
     }
     let out_dir = flag_value(args, "--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("bench_results"));
-    let threshold = match threshold(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("trajectory: {e}");
-            return ExitCode::from(2);
-        }
+    let threshold = threshold(args)?;
+    let pr = match parse_flag(args, "--pr", "a non-negative integer", |_: &u64| true)? {
+        Some(pr) => pr,
+        None => highest_bench_number(&out_dir).map_or(6, |n| n + 1),
     };
-    let pr = flag_value(args, "--pr")
-        .and_then(|p| p.parse().ok())
-        .unwrap_or_else(|| highest_bench_number(&out_dir).map_or(6, |n| n + 1));
 
     let rev = git_rev(&std::env::current_dir().unwrap_or_else(|_| PathBuf::from(".")));
     eprintln!(
@@ -96,53 +107,24 @@ fn cmd_run(args: &[String]) -> ExitCode {
         config.threads
     );
     let trajectory = run(&config, pr, rev);
-    let path = match trajectory.save(&out_dir) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("trajectory: writing {}: {e}", out_dir.display());
-            return ExitCode::from(2);
-        }
-    };
+    let path = trajectory
+        .save(&out_dir)
+        .map_err(|e| format!("writing {}: {e}", out_dir.display()))?;
     println!("wrote {}", path.display());
 
     if let Some(golden) = flag_value(args, "--schema-golden") {
-        if let Err(e) = check_schema(&trajectory, Path::new(&golden)) {
-            eprintln!("trajectory: schema mismatch: {e}");
-            return ExitCode::from(2);
-        }
+        check_schema(&trajectory, Path::new(&golden))
+            .map_err(|e| format!("schema mismatch: {e}"))?;
         println!("schema matches {golden}");
     }
 
-    // Full runs must demonstrate the slice-path ingest win (ISSUE 6
-    // acceptance floor) and the persistent-pool scaling curve plus the
-    // zero-alloc cell path (ISSUE 8) in the same file that records them.
-    // Smoke corpora are too small for stable ratios.
-    if !config.smoke {
-        let d = trajectory.derived;
-        for (name, v, floor) in [
-            ("ingest_speedup_max", d.ingest_speedup_max, 1.5),
-            ("ingest_speedup_median", d.ingest_speedup_median, 1.5),
-            ("parallel_speedup_8w", d.parallel_speedup_8w, 2.8),
-            ("parallel_speedup_16w", d.parallel_speedup_16w, 5.0),
-        ] {
-            if v < floor {
-                eprintln!("trajectory: floor failed: {name} = {v:.2}× < {floor:.1}×");
-                return ExitCode::from(1);
-            }
+    // Full runs must meet every acceptance floor in the same file that
+    // records them.
+    if let Err(failures) = check_floors(&trajectory) {
+        for f in &failures {
+            eprintln!("trajectory: floor failed: {f}");
         }
-        if let Some(cell) = trajectory.bench("cell_path_steady_ingest") {
-            if cell.alloc_count != 0 {
-                eprintln!(
-                    "trajectory: floor failed: cell_path_steady_ingest made {} steady-state \
-                     allocations ({} B); the cell path must be zero-alloc",
-                    cell.alloc_count, cell.alloc_bytes
-                );
-                return ExitCode::from(1);
-            }
-        } else {
-            eprintln!("trajectory: cell_path_steady_ingest bench missing from run");
-            return ExitCode::from(1);
-        }
+        return Ok(ExitCode::from(1));
     }
 
     let baseline = flag_value(args, "--baseline").map(PathBuf::from).or_else(|| {
@@ -153,47 +135,25 @@ fn cmd_run(args: &[String]) -> ExitCode {
     });
     match baseline {
         Some(prev_path) => {
-            let prev = match Trajectory::load(&prev_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("trajectory: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            report_comparison(&prev, &trajectory, threshold)
+            let prev = Trajectory::load(&prev_path)?;
+            Ok(report_comparison(&prev, &trajectory, threshold))
         }
         None => {
             println!("no baseline trajectory found — nothing to compare");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
     }
 }
 
-fn cmd_check(args: &[String]) -> ExitCode {
-    let (Some(prev_path), Some(cur_path)) =
-        (flag_value(args, "--prev"), flag_value(args, "--cur"))
+fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
+    let (Some(prev_path), Some(cur_path)) = (flag_value(args, "--prev"), flag_value(args, "--cur"))
     else {
-        eprintln!("usage: trajectory check --prev FILE --cur FILE [--threshold X]");
-        return ExitCode::from(2);
+        return Err("usage: trajectory check --prev FILE --cur FILE [--threshold X]".into());
     };
-    let threshold = match threshold(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("trajectory: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let (prev, cur) = match (
-        Trajectory::load(Path::new(&prev_path)),
-        Trajectory::load(Path::new(&cur_path)),
-    ) {
-        (Ok(p), Ok(c)) => (p, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("trajectory: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    report_comparison(&prev, &cur, threshold)
+    let threshold = threshold(args)?;
+    let prev = Trajectory::load(Path::new(&prev_path))?;
+    let cur = Trajectory::load(Path::new(&cur_path))?;
+    Ok(report_comparison(&prev, &cur, threshold))
 }
 
 fn report_comparison(prev: &Trajectory, cur: &Trajectory, threshold: f64) -> ExitCode {

@@ -1,13 +1,13 @@
 //! Machine-readable perf trajectory — `BENCH_<n>.json` emission and
 //! cross-commit regression comparison.
 //!
-//! PRs 2–5 reported speedups (3.8× at 4 workers, 8.5×/7.6× kernel wins)
-//! that nothing tracked across commits. This module closes that loop: it
-//! re-runs the parallel-speedup and estimator-kernel benches plus an
-//! end-to-end generation bench under the deterministic
-//! [`bench_repeated`] timer, persists per-bench median/p95 wall times and
-//! throughput into a versioned JSON file via `rt::json`, and compares any
-//! two trajectory files under a configurable regression threshold.
+//! This is the workspace's one perf harness. It runs the parallel-speedup,
+//! estimator-kernel, sweep, end-to-end generation and serving benches
+//! under the deterministic [`bench_repeated`] timer, persists per-bench
+//! median/p95 wall times and throughput into a versioned JSON file via
+//! `rt::json`, checks full runs against the acceptance [`FLOORS`], and
+//! compares any two trajectory files under a configurable regression
+//! threshold.
 //!
 //! The file format is `smokescreen-trajectory/2`: a flat object with run
 //! provenance (git revision, thread count, corpus) plus one entry per
@@ -49,18 +49,29 @@ pub const SCHEMA: &str = "smokescreen-trajectory/2";
 /// to zero on read.
 pub const SCHEMA_V1: &str = "smokescreen-trajectory/1";
 
-/// Environment variable overriding the timed repetition count.
-pub const REPS_ENV: &str = "SMOKESCREEN_BENCH_REPS";
-
-/// Environment variable overriding the regression threshold (a fraction:
-/// `0.25` = fail when a median grows, or a derived ratio shrinks, by more
-/// than 25%).
-pub const THRESHOLD_ENV: &str = "SMOKESCREEN_BENCH_THRESHOLD";
-
-/// Default regression threshold when neither flag nor env is set. Wall
-/// times on shared CI hosts are noisy; 25% catches real slope changes
-/// without tripping on scheduler jitter.
+/// Default regression threshold (a fraction: `0.25` = fail when a median
+/// grows, or a derived ratio shrinks, by more than 25%) when
+/// `--threshold` is not given. Wall times on shared CI hosts are noisy;
+/// 25% catches real slope changes without tripping on scheduler jitter.
 pub const DEFAULT_THRESHOLD: f64 = 0.25;
+
+/// Acceptance floors every full (non-smoke) run must meet: `(derived
+/// ratio, minimum)`. Alongside these, [`check_floors`] requires the
+/// `cell_path_steady_ingest` bench to record zero steady-state
+/// allocations.
+pub const FLOORS: &[(&str, f64)] = &[
+    // Persistent pool on latency-bound inference (sleeps overlap across
+    // workers, so the ratios do not depend on the host's core count).
+    ("parallel_speedup_4w", 2.0),
+    ("parallel_speedup_8w", 2.8),
+    ("parallel_speedup_16w", 5.0),
+    // Slice-path sort-then-merge vs. scalar per-element insertion.
+    ("ingest_speedup_max", 1.5),
+    ("ingest_speedup_median", 1.5),
+    // Incremental kernel sweep vs. per-candidate batch re-estimation.
+    ("sweep_speedup_max", 3.0),
+    ("sweep_speedup_median", 3.0),
+];
 
 /// Knobs for one trajectory run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,7 +93,7 @@ impl TrajectoryConfig {
     pub fn full() -> Self {
         TrajectoryConfig {
             smoke: false,
-            reps: reps_from_env().unwrap_or(5),
+            reps: 5,
             threads: 4,
             seed: 1,
         }
@@ -92,7 +103,7 @@ impl TrajectoryConfig {
     pub fn smoke() -> Self {
         TrajectoryConfig {
             smoke: true,
-            reps: reps_from_env().unwrap_or(2),
+            reps: 2,
             threads: 4,
             seed: 1,
         }
@@ -111,20 +122,6 @@ impl TrajectoryConfig {
         let steps = if self.smoke { 12 } else { 100 };
         (1..=steps).map(|i| i as f64 / steps as f64).collect()
     }
-}
-
-/// Reads [`REPS_ENV`], ignoring unset or malformed values.
-pub fn reps_from_env() -> Option<usize> {
-    std::env::var(REPS_ENV).ok()?.parse().ok().filter(|&r| r > 0)
-}
-
-/// Reads [`THRESHOLD_ENV`], ignoring unset or malformed values.
-pub fn threshold_from_env() -> Option<f64> {
-    std::env::var(THRESHOLD_ENV)
-        .ok()?
-        .parse()
-        .ok()
-        .filter(|t: &f64| t.is_finite())
 }
 
 /// One bench's record in a trajectory file. Every record carries the same
@@ -245,11 +242,13 @@ pub struct Derived {
     pub ingest_speedup_median: f64,
     /// Batch per-candidate sweep over incremental kernel sweep, MAX.
     pub sweep_speedup_max: f64,
+    /// Batch per-candidate sweep over incremental kernel sweep, MEDIAN.
+    pub sweep_speedup_median: f64,
 }
 
 impl Derived {
     /// `(metric, value)` pairs, in file order.
-    pub fn entries(&self) -> [(&'static str, f64); 7] {
+    pub fn entries(&self) -> [(&'static str, f64); 8] {
         [
             ("parallel_speedup_4w", self.parallel_speedup_4w),
             ("parallel_speedup_8w", self.parallel_speedup_8w),
@@ -258,7 +257,16 @@ impl Derived {
             ("ingest_speedup_max", self.ingest_speedup_max),
             ("ingest_speedup_median", self.ingest_speedup_median),
             ("sweep_speedup_max", self.sweep_speedup_max),
+            ("sweep_speedup_median", self.sweep_speedup_median),
         ]
+    }
+
+    /// The ratio named `name`, if it is one of [`Derived::entries`].
+    pub fn get(&self, name: &str) -> Option<f64> {
+        self.entries()
+            .into_iter()
+            .find(|&(k, _)| k == name)
+            .map(|(_, v)| v)
     }
 }
 
@@ -275,23 +283,25 @@ impl ToJson for Derived {
 
 impl FromJson for Derived {
     fn from_json(value: &Json) -> smokescreen_rt::json::Result<Self> {
-        // The 8w/16w ratios are absent in `/1` files; they default to 0,
-        // which `compare` treats as "no prior value" (a zero `pv` yields a
-        // zero delta), so a `/2` run never regresses against their absence.
-        let opt = |key: &str| -> smokescreen_rt::json::Result<f64> {
+        // Any ratio a file predates (8w/16w in `/1` files, the MEDIAN
+        // sweep before it was recorded) loads as 0, which `compare` treats
+        // as "no prior value" (a zero `pv` yields a zero delta), so a run
+        // never regresses against a ratio its baseline never measured.
+        let get = |key: &str| -> smokescreen_rt::json::Result<f64> {
             match value.get_opt(key) {
                 Some(v) => v.as_f64(),
                 None => Ok(0.0),
             }
         };
         Ok(Derived {
-            parallel_speedup_4w: value.get("parallel_speedup_4w")?.as_f64()?,
-            parallel_speedup_8w: opt("parallel_speedup_8w")?,
-            parallel_speedup_16w: opt("parallel_speedup_16w")?,
-            ingest_speedup_avg: value.get("ingest_speedup_avg")?.as_f64()?,
-            ingest_speedup_max: value.get("ingest_speedup_max")?.as_f64()?,
-            ingest_speedup_median: value.get("ingest_speedup_median")?.as_f64()?,
-            sweep_speedup_max: value.get("sweep_speedup_max")?.as_f64()?,
+            parallel_speedup_4w: get("parallel_speedup_4w")?,
+            parallel_speedup_8w: get("parallel_speedup_8w")?,
+            parallel_speedup_16w: get("parallel_speedup_16w")?,
+            ingest_speedup_avg: get("ingest_speedup_avg")?,
+            ingest_speedup_max: get("ingest_speedup_max")?,
+            ingest_speedup_median: get("ingest_speedup_median")?,
+            sweep_speedup_max: get("sweep_speedup_max")?,
+            sweep_speedup_median: get("sweep_speedup_median")?,
         })
     }
 }
@@ -571,6 +581,39 @@ pub fn compare(prev: &Trajectory, cur: &Trajectory, threshold: f64) -> Compariso
     Comparison { table, regressions }
 }
 
+/// Checks a run against [`FLOORS`] and the zero-alloc cell path; returns
+/// one message per failed floor. Smoke runs are exempt: their corpora are
+/// too small for stable ratios.
+pub fn check_floors(t: &Trajectory) -> Result<(), Vec<String>> {
+    if t.smoke {
+        return Ok(());
+    }
+    let mut failures: Vec<String> = FLOORS
+        .iter()
+        .filter_map(|&(name, floor)| {
+            let v = t
+                .derived
+                .get(name)
+                .expect("every floor names a derived ratio");
+            (v < floor).then(|| format!("{name} = {v:.2}× < {floor:.1}×"))
+        })
+        .collect();
+    match t.bench("cell_path_steady_ingest") {
+        Some(cell) if cell.alloc_count != 0 => failures.push(format!(
+            "cell_path_steady_ingest made {} steady-state allocations ({} B); \
+             the cell path must be zero-alloc",
+            cell.alloc_count, cell.alloc_bytes
+        )),
+        Some(_) => {}
+        None => failures.push("cell_path_steady_ingest bench missing from run".into()),
+    }
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures)
+    }
+}
+
 /// Structural schema of a JSON value: objects map each key to its value's
 /// schema, arrays reduce to the first element's schema (benches share one
 /// shape), scalars reduce to their type name. Comparing `schema_of`
@@ -662,8 +705,10 @@ fn repeat_samples(name: &str, reps: usize, mut f: impl FnMut() -> f64) -> Repeat
 /// 5. `cell_path_steady_ingest` — the fraction-ladder hot loop (range
 ///    fetch into reused scratch → slice ingest → estimate) on a warm
 ///    cache; its `alloc_count` is the zero-alloc cell-path proof.
-/// 6. `sweep_{batch,incremental}_max` — per-candidate `profile_point`
-///    re-estimation vs. the kernel-backed sweep inside `generate`.
+/// 6. `sweep_{batch,incremental}_{max,median}` — per-candidate
+///    `profile_point` re-estimation vs. the kernel-backed sweep inside
+///    `generate`, on the quantile-heavy aggregates where re-sorting
+///    dominates the batch cost.
 pub fn run(config: &TrajectoryConfig, pr: u64, rev: String) -> Trajectory {
     let corpus = config.corpus();
     let ladder = config.ladder();
@@ -895,58 +940,68 @@ pub fn run(config: &TrajectoryConfig, pr: u64, rev: String) -> Trajectory {
         0,
     ));
 
-    // --- 6. Batch vs. incremental fraction sweep (MAX). ---
-    let sweep_workload = Workload {
-        corpus: &corpus,
-        detector: &yolo,
-        class: ObjectClass::Car,
-        aggregate: Aggregate::Max { r: 0.99 },
-        delta: 0.05,
-    };
-    let sweep_gen = ProfileGenerator::new(
-        &sweep_workload,
-        &restrictions,
-        GeneratorConfig {
-            early_stop_improvement: None,
-            threads: 1,
-            seed: config.seed,
-            ..GeneratorConfig::default()
-        },
-    );
-    let batch = repeat_samples("sweep_batch_max", config.reps, || {
-        // Cold cache per repetition, exactly as `generate` starts — both
-        // paths pay the same one-miss-per-frame model cost.
-        let cache = OutputCache::new(&yolo);
-        let t0 = Instant::now();
-        for &f in &ladder {
-            let set = InterventionSet::sampling(f);
-            std::hint::black_box(
-                sweep_gen.profile_point(&set, None, &cache).expect("profile point"),
-            );
-        }
-        t0.elapsed().as_secs_f64() * 1_000.0
-    });
-    let mut sweep_runs = 0usize;
-    let incremental = repeat_samples("sweep_incremental_max", config.reps, || {
-        let (_, report) = sweep_gen.generate(&grid, None).expect("generation succeeds");
-        sweep_runs = report.model_runs;
-        report.estimation_time_ms
-    });
-    let sweep_speedup_max = batch.median_ms() / incremental.median_ms().max(1e-9);
-    benches.push(BenchResult::from_measurement(
-        "sweep_batch_max",
-        &batch,
-        ladder.len(),
-        "candidates",
-        outputs.len(),
-    ));
-    benches.push(BenchResult::from_measurement(
-        "sweep_incremental_max",
-        &incremental,
-        ladder.len(),
-        "candidates",
-        sweep_runs,
-    ));
+    // --- 6. Batch vs. incremental fraction sweep (MAX, MEDIAN). ---
+    let mut sweep_speedups = [0.0f64; 2];
+    // The quantile-heavy ingest cases: MAX(r=0.99), MEDIAN(r=0.5).
+    for (idx, (label, aggregate)) in ingest_cases[1..].iter().copied().enumerate() {
+        let sweep_workload = Workload {
+            corpus: &corpus,
+            detector: &yolo,
+            class: ObjectClass::Car,
+            aggregate,
+            delta: 0.05,
+        };
+        let sweep_gen = ProfileGenerator::new(
+            &sweep_workload,
+            &restrictions,
+            GeneratorConfig {
+                early_stop_improvement: None,
+                threads: 1,
+                seed: config.seed,
+                ..GeneratorConfig::default()
+            },
+        );
+        let batch_name = format!("sweep_batch_{label}");
+        let batch = repeat_samples(&batch_name, config.reps, || {
+            // Cold cache per repetition, exactly as `generate` starts —
+            // both paths pay the same one-miss-per-frame model cost.
+            let cache = OutputCache::new(&yolo);
+            let t0 = Instant::now();
+            for &f in &ladder {
+                let set = InterventionSet::sampling(f);
+                std::hint::black_box(
+                    sweep_gen
+                        .profile_point(&set, None, &cache)
+                        .expect("profile point"),
+                );
+            }
+            t0.elapsed().as_secs_f64() * 1_000.0
+        });
+        let incremental_name = format!("sweep_incremental_{label}");
+        let mut sweep_runs = 0usize;
+        let incremental = repeat_samples(&incremental_name, config.reps, || {
+            let (_, report) = sweep_gen
+                .generate(&grid, None)
+                .expect("generation succeeds");
+            sweep_runs = report.model_runs;
+            report.estimation_time_ms
+        });
+        sweep_speedups[idx] = batch.median_ms() / incremental.median_ms().max(1e-9);
+        benches.push(BenchResult::from_measurement(
+            &batch_name,
+            &batch,
+            ladder.len(),
+            "candidates",
+            outputs.len(),
+        ));
+        benches.push(BenchResult::from_measurement(
+            &incremental_name,
+            &incremental,
+            ladder.len(),
+            "candidates",
+            sweep_runs,
+        ));
+    }
 
     // --- 7. Serving throughput: the daemon under framed load. ---
     // A live server on a Unix socket with `config.threads` workers; every
@@ -1009,7 +1064,8 @@ pub fn run(config: &TrajectoryConfig, pr: u64, rev: String) -> Trajectory {
             ingest_speedup_avg: ingest_speedups[0],
             ingest_speedup_max: ingest_speedups[1],
             ingest_speedup_median: ingest_speedups[2],
-            sweep_speedup_max,
+            sweep_speedup_max: sweep_speedups[0],
+            sweep_speedup_median: sweep_speedups[1],
         },
     }
 }
@@ -1047,6 +1103,7 @@ mod tests {
                 ingest_speedup_max: speedup,
                 ingest_speedup_median: speedup,
                 sweep_speedup_max: speedup,
+                sweep_speedup_median: speedup,
             },
         }
     }
@@ -1125,7 +1182,7 @@ mod tests {
         // (ROBUST_*.json audits, CSV tables); discovery must skip them
         // rather than abort the scan.
         fs::write(dir.join("ROBUST_7.json"), "{}").unwrap();
-        fs::write(dir.join("parallel_speedup.csv"), "threads,wall_ms\n").unwrap();
+        fs::write(dir.join("fig4_0.csv"), "fraction,err_b\n").unwrap();
         assert_eq!(highest_bench_number(&dir), Some(6));
         let (n, path) = latest_bench_below(&dir, 6).unwrap();
         assert_eq!(n, 5);
@@ -1163,6 +1220,7 @@ mod tests {
                 "alloc_bytes",
                 "parallel_speedup_8w",
                 "parallel_speedup_16w",
+                "sweep_speedup_median",
             ],
         );
         let path = dir.join(bench_file_name(6));
@@ -1174,12 +1232,88 @@ mod tests {
         assert_eq!(loaded.benches[0].alloc_bytes, 0);
         assert_eq!(loaded.derived.parallel_speedup_8w, 0.0);
         assert_eq!(loaded.derived.parallel_speedup_16w, 0.0);
+        assert_eq!(loaded.derived.sweep_speedup_median, 0.0);
 
         // A `/2` run compared against the `/1` baseline must not regress
         // on the fields the baseline never recorded.
         let cur = sample_trajectory(8, 10.0, 4.0);
         assert!(!compare(&loaded, &cur, 0.25).regressed());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn absent_derived_keys_load_as_zero_and_never_regress() {
+        let t = sample_trajectory(9, 10.0, 4.0);
+        let json = t.to_json();
+        let mut names = Vec::new();
+        for (name, _) in t.derived.entries() {
+            let stripped = strip_keys(&json, &[name]);
+            let loaded = Trajectory::from_json(&stripped).unwrap();
+            assert_eq!(loaded.derived.get(name), Some(0.0), "{name}");
+            assert!(!compare(&loaded, &t, 0.25).regressed(), "{name}");
+            names.push(name);
+        }
+        // Even a `derived` block with no keys at all loads.
+        let empty = Trajectory::from_json(&strip_keys(&json, &names)).unwrap();
+        assert!(empty.derived.entries().iter().all(|&(_, v)| v == 0.0));
+    }
+
+    /// Sets the derived ratio called `name`.
+    fn set_derived(t: &mut Trajectory, name: &str, value: f64) {
+        let Json::Obj(mut map) = t.derived.to_json() else {
+            unreachable!()
+        };
+        map.insert(name.to_string(), value.to_json());
+        t.derived = Derived::from_json(&Json::Obj(map)).unwrap();
+    }
+
+    /// A full run sitting exactly on every floor, with a zero-alloc cell
+    /// path.
+    fn at_floors() -> Trajectory {
+        let mut t = sample_trajectory(14, 10.0, 0.0);
+        t.smoke = false;
+        t.benches[0].name = "cell_path_steady_ingest".into();
+        t.benches[0].alloc_count = 0;
+        t.benches[0].alloc_bytes = 0;
+        for &(name, floor) in FLOORS {
+            set_derived(&mut t, name, floor);
+        }
+        t
+    }
+
+    #[test]
+    fn check_floors_passes_at_floors_and_names_each_failure() {
+        assert_eq!(check_floors(&at_floors()), Ok(()));
+
+        for &(name, floor) in FLOORS {
+            let mut t = at_floors();
+            set_derived(&mut t, name, floor - 0.01);
+            let failures = check_floors(&t).unwrap_err();
+            assert_eq!(failures.len(), 1, "{name}: {failures:?}");
+            assert!(failures[0].starts_with(name), "{name}: {failures:?}");
+        }
+
+        let mut allocating = at_floors();
+        allocating.benches[0].alloc_count = 1;
+        let failures = check_floors(&allocating).unwrap_err();
+        assert!(failures[0].contains("zero-alloc"), "{failures:?}");
+
+        let mut missing = at_floors();
+        missing.benches[0].name = "generation_end_to_end".into();
+        let failures = check_floors(&missing).unwrap_err();
+        assert!(failures[0].contains("missing"), "{failures:?}");
+    }
+
+    #[test]
+    fn smoke_runs_are_exempt_from_floors() {
+        // Smoke ratios are far below the floors (a tiny corpus cannot
+        // express the full-run slopes), and the gate must not fire on them.
+        let mut t = sample_trajectory(6, 10.0, 1.0);
+        t.benches[0].name = "cell_path_steady_ingest".into();
+        assert!(t.smoke && t.benches[0].alloc_count > 0);
+        assert_eq!(check_floors(&t), Ok(()));
+        t.smoke = false;
+        assert_eq!(check_floors(&t).unwrap_err().len(), FLOORS.len() + 1);
     }
 
     #[test]

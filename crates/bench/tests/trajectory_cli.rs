@@ -124,6 +124,18 @@ fn smoke_run_emits_valid_trajectory_and_check_gates_regressions() {
         String::from_utf8_lossy(&loose.stderr)
     );
 
+    // --- A threshold that would switch the gate off is refused, not
+    // obeyed: every delta compares as within NaN or infinity. ---
+    for bad in ["nan", "inf", "-0.1", "0,25"] {
+        let out = check(&prior_path, &path, &["--threshold", bad]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--threshold {bad}: {stderr}");
+        assert!(
+            stderr.contains(&format!("--threshold {bad:?}")),
+            "error names the flag and quotes the value: {stderr}"
+        );
+    }
+
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -150,5 +162,22 @@ fn check_rejects_malformed_and_missing_files() {
 
     let out = Command::new(bin()).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "no subcommand is a usage error");
+
+    // Malformed numeric flags are refused before anything runs, never
+    // replaced by a default.
+    for (flag, bad) in [
+        ("--reps", "two"),
+        ("--reps", "0"),
+        ("--threads", "-1"),
+        ("--pr", "x"),
+    ] {
+        let out = Command::new(bin())
+            .args(["run", "--smoke", flag, bad, "--out", dir.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {bad}: {stderr}");
+        assert!(stderr.contains(&format!("{flag} {bad:?}")), "{stderr}");
+    }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -931,6 +931,50 @@ mod tests {
     }
 
     #[test]
+    fn incremental_sweep_matches_per_candidate_batch_reference() {
+        // The kernel-backed sweep inside `generate` must reproduce the
+        // batch reference — `profile_point` re-estimating each candidate
+        // from scratch — bit for bit, on mean-style and order-style
+        // aggregates alike.
+        let corpus = DatasetPreset::Detrac.generate(1).slice(0, 2_000);
+        let yolo = SimYoloV4::new(1);
+        let restrictions = RestrictionIndex::from_ground_truth(&corpus, &[]);
+        let fractions: Vec<f64> = (1..=20).map(|i| f64::from(i) / 20.0).collect();
+        let grid = CandidateGrid::explicit(fractions.clone(), vec![], vec![]);
+        for aggregate in [
+            Aggregate::Avg,
+            Aggregate::Max { r: 0.99 },
+            Aggregate::Quantile { r: 0.5 },
+        ] {
+            let w = Workload {
+                corpus: &corpus,
+                detector: &yolo,
+                class: ObjectClass::Car,
+                aggregate,
+                delta: 0.05,
+            };
+            let gen = ProfileGenerator::new(
+                &w,
+                &restrictions,
+                GeneratorConfig {
+                    early_stop_improvement: None,
+                    ..Default::default()
+                },
+            );
+            let cache = OutputCache::new(&yolo);
+            let batch_points: Vec<ProfilePoint> = fractions
+                .iter()
+                .map(|&f| {
+                    gen.profile_point(&InterventionSet::sampling(f), None, &cache)
+                        .unwrap()
+                })
+                .collect();
+            let (profile, _) = gen.generate(&grid, None).unwrap();
+            assert_eq!(profile.points, batch_points, "{aggregate:?}");
+        }
+    }
+
+    #[test]
     fn reuse_cache_bounds_model_runs() {
         // Across all 20 candidates the model may run at most
         // (distinct frames sampled) × (2 resolutions) times, and the

@@ -13,7 +13,7 @@
 //! | [`sync`]      | `parking_lot`           | direct-guard `Mutex`/`RwLock` over `std::sync` |
 //! | [`pool`]      | `rayon` (subset)        | persistent, deterministic `parallel_map`/`scope` worker pool |
 //! | [`proptest`]  | `proptest`              | seeded case generation, replay via printed seed, no shrinking |
-//! | [`bench`]     | `criterion`             | warm-up + min/mean timer + counting allocator under the libtest harness |
+//! | [`bench`]     | `criterion` (subset)    | repeated median/p95 timer + counting allocator for the `trajectory` harness |
 //! | [`fault`]     | — (new subsystem)       | seeded, replayable fault + crash schedules for chaos testing |
 //! | [`log`]       | — (new subsystem)       | shared durable append-log format: header, checksummed frames, torn/corrupt scan, atomic repair |
 //! | [`journal`]   | — (new subsystem)       | checkpoint journal on [`log`]: consecutive record indices |

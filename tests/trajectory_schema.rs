@@ -55,6 +55,7 @@ fn representative_trajectory() -> Trajectory {
             ingest_speedup_max: 8.0,
             ingest_speedup_median: 7.0,
             sweep_speedup_max: 4.0,
+            sweep_speedup_median: 4.0,
         },
     }
 }
