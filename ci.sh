@@ -247,6 +247,36 @@ SMOKESCREEN_PERTURB_SEED=7 SMOKESCREEN_PERTURB_RATE=0 SMOKESCREEN_PERTURB_KIND=g
   cargo test -q --offline --test crash_resume
 echo "zero-rate perturbation plan is byte-invisible"
 
+echo "=== chaos knobs: every malformed knob fails loudly, naming its variable ==="
+# Every seeded plan parses its knobs strictly: a typo must abort the run
+# with a non-zero exit and a message naming the variable — never
+# silently run the faults-disabled configuration. `timeout` bounds the
+# daemon cases; a run that is still going when it fires (exit 124) was
+# not loud.
+expect_loud() {
+  local var="$1" out status=0
+  shift
+  out="$(timeout 300 "$@" 2>&1)" || status=$?
+  if [ "$status" -eq 0 ] || [ "$status" -eq 124 ] || ! grep -q "$var" <<<"$out"; then
+    echo "malformed $var was not rejected loudly (exit $status): $*" >&2
+    tail -n 20 <<<"$out" >&2
+    exit 1
+  fi
+}
+expect_loud SMOKESCREEN_FAULT_RATE env SMOKESCREEN_FAULT_RATE=0,05 \
+  ./target/release/repro time --quick --out "$tmpdir/loud"
+expect_loud SMOKESCREEN_PERTURB_RATE env SMOKESCREEN_PERTURB_RATE=lots \
+  ./target/release/repro fig4 --quick --out "$tmpdir/loud"
+expect_loud SMOKESCREEN_PERTURB_KIND env SMOKESCREEN_PERTURB_RATE=0.1 SMOKESCREEN_PERTURB_KIND=fog \
+  ./target/release/repro fig4 --quick --out "$tmpdir/loud"
+expect_loud SMOKESCREEN_DISKFAULT_RATE env SMOKESCREEN_DISKFAULT_RATE=2 \
+  ./target/release/serve run --unix "$tmpdir/loud.sock" --store "$tmpdir/loud-store"
+expect_loud SMOKESCREEN_NETFAULT_RATE env SMOKESCREEN_NETFAULT_RATE=lots \
+  ./target/release/serve run --unix "$tmpdir/loud.sock" --store "$tmpdir/loud-store"
+expect_loud SMOKESCREEN_CRASH_RATE env SMOKESCREEN_CRASH_RATE=lots \
+  cargo test -q --offline --test crash_resume
+echo "every chaos knob rejects a malformed value loudly"
+
 echo "=== checkout hygiene: ci.sh leaves the checkout as it found it ==="
 # Every step above must clean up after itself or write only under ignored
 # paths (target/, mktemp directories): no new, deleted or modified file.

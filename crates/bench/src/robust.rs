@@ -41,7 +41,7 @@ use smokescreen_models::Detector;
 use smokescreen_rt::json::{FromJson, Json, JsonError, ToJson};
 use smokescreen_stats::sample::sample_indices;
 use smokescreen_video::synth::DatasetPreset;
-use smokescreen_video::{ObjectClass, PerturbKind, PerturbPlan, VideoCorpus};
+use smokescreen_video::{ObjectClass, Perturb, PerturbKind, PerturbPlan, VideoCorpus};
 
 use crate::workloads::ModelKind;
 
@@ -410,7 +410,7 @@ pub fn run(cfg: &AuditConfig, pr: u64, rev: String) -> RobustAudit {
                     None => ("none".to_string(), clean_outputs.clone()),
                     Some(k) => {
                         let perturbed =
-                            PerturbPlan::new(cfg.seed, rate, k).apply(&clean);
+                            PerturbPlan::with_stream(cfg.seed, rate, k).apply(&clean);
                         (k.name().to_string(), outputs_of(&perturbed, detector.as_ref()))
                     }
                 };

@@ -16,7 +16,7 @@ use smokescreen_models::{Detector, SimMaskRcnn, SimYoloV4};
 use smokescreen_rt::sync::RwLock;
 use smokescreen_stats::sample::sample_indices;
 use smokescreen_video::synth::DatasetPreset;
-use smokescreen_video::{ObjectClass, Resolution, VideoCorpus};
+use smokescreen_video::{ObjectClass, Perturb, PerturbPlan, Resolution, VideoCorpus};
 
 use crate::RunConfig;
 
@@ -76,7 +76,7 @@ impl Bench {
         if let Some(cap) = cfg.corpus_cap() {
             corpus = corpus.slice(0, cap);
         }
-        if let Some(plan) = smokescreen_video::PerturbPlan::from_env() {
+        if let Some(plan) = PerturbPlan::from_env() {
             corpus = plan.apply(&corpus);
         }
         let detector = model.build(cfg.seed);

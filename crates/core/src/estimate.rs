@@ -752,14 +752,15 @@ mod tests {
     #[test]
     fn all_frames_lost_is_a_typed_error() {
         use smokescreen_models::{OutputCache, RetryPolicy};
-        use smokescreen_rt::fault::FaultPlan;
+        use smokescreen_rt::fault::{FaultMix, FaultPlan};
 
         let corpus = DatasetPreset::Detrac.generate(19).slice(0, 1_000);
         let yolo = SimYoloV4::new(9);
         let w = workload(&corpus, &yolo, Aggregate::Avg);
         let restrictions = RestrictionIndex::from_ground_truth(&corpus, &[]);
         // Every call times out: the whole sample is lost.
-        let plan = FaultPlan::with_rates(2, 1.0, 0.0, 0.0, 0.0);
+        let timeouts = FaultMix { timeout: 1.0, transient: 0.0, slow: 0.0, poison: 0.0 };
+        let plan = FaultPlan::with_stream(2, 1.0, timeouts);
         let cache = OutputCache::with_faults(&yolo, plan, RetryPolicy::default());
         let err = result_error_est(
             &w,

@@ -651,10 +651,10 @@ impl<'a> ProfileGenerator<'a> {
         let w = self.workload;
         let c = &self.config;
         let faults = match &c.faults {
-            Some(p) => format!(
-                "seed={};to={};tr={};sl={};po={}",
-                p.seed(), p.timeout_rate, p.transient_rate, p.slow_rate, p.poison_rate
-            ),
+            Some(p) => {
+                let [to, tr, sl, po] = p.mode_rates();
+                format!("seed={};to={to};tr={tr};sl={sl};po={po}", p.seed())
+            }
             None => "none".to_string(),
         };
         format!(
@@ -888,6 +888,7 @@ impl<'a> ProfileGenerator<'a> {
 mod tests {
     use super::*;
     use crate::correction::{build_correction_set, CorrectionConfig};
+    use smokescreen_rt::fault::FaultMix;
     use crate::estimate::Aggregate;
     use smokescreen_degrade::CandidateGrid;
     use smokescreen_models::SimYoloV4;
@@ -1144,8 +1145,10 @@ mod tests {
             .generate(&grid(), None)
             .unwrap();
         let chaotic_cfg = GeneratorConfig {
-            faults: Some(smokescreen_rt::fault::FaultPlan::with_rates(
-                5, 0.04, 0.08, 0.04, 0.03,
+            faults: Some(FaultPlan::with_stream(
+                5,
+                1.0,
+                FaultMix { timeout: 0.04, transient: 0.08, slow: 0.04, poison: 0.03 },
             )),
             ..base
         };
@@ -1196,9 +1199,10 @@ mod tests {
         // 70% of calls time out: every cell blows through the default 50%
         // loss tolerance, so all four cells quarantine and the profile is
         // empty — reported, not silently dropped.
+        let timeouts = FaultMix { timeout: 1.0, transient: 0.0, slow: 0.0, poison: 0.0 };
         let cfg = GeneratorConfig {
             early_stop_improvement: None,
-            faults: Some(smokescreen_rt::fault::FaultPlan::with_rates(1, 0.7, 0.0, 0.0, 0.0)),
+            faults: Some(FaultPlan::with_stream(1, 0.7, timeouts)),
             ..GeneratorConfig::default()
         };
         let (profile, report) =
@@ -1234,7 +1238,7 @@ mod tests {
                 GeneratorConfig {
                     seed: 3,
                     threads,
-                    faults: Some(smokescreen_rt::fault::FaultPlan::new(11, 0.2)),
+                    faults: Some(FaultPlan::new(11, 0.2)),
                     ..GeneratorConfig::default()
                 },
             )
@@ -1425,7 +1429,7 @@ mod tests {
     #[test]
     fn drift_probe_flags_drifted_corpus_and_stays_inert_by_default() {
         use crate::similarity::{DriftBaseline, DEFAULT_DRIFT_THRESHOLD, DEFAULT_DRIFT_WINDOW};
-        use smokescreen_video::perturb::{PerturbKind, PerturbPlan};
+        use smokescreen_video::perturb::{Perturb, PerturbKind, PerturbPlan};
 
         let clean = DatasetPreset::Detrac.generate(49).slice(0, 3_000);
         let yolo = SimYoloV4::new(10);
@@ -1472,7 +1476,7 @@ mod tests {
         assert_eq!(clean_report.drift_windows_flagged, 0, "score={clean_score}");
 
         // Probing a prevalence-drifted corpus: the tail windows flag.
-        let drifted = PerturbPlan::new(3, 0.3, PerturbKind::Drift).apply(&clean);
+        let drifted = PerturbPlan::with_stream(3, 0.3, PerturbKind::Drift).apply(&clean);
         let w_drift = workload_for(&drifted);
         let restrictions_drift = RestrictionIndex::from_ground_truth(&drifted, &[]);
         let (_, drift_report) =

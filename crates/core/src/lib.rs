@@ -53,7 +53,7 @@ pub use similarity::{
     drift_score, DriftBaseline, DriftReport, DriftScorer, DEFAULT_DRIFT_THRESHOLD,
     DEFAULT_DRIFT_WINDOW,
 };
-pub use streaming::{FreshnessMonitor, StreamingEstimator, StreamingStatus};
+pub use streaming::{StreamingEstimator, StreamingStatus};
 pub use system::Smokescreen;
 pub use tradeoff::{choose_tradeoff, DegradationObjective, Preferences};
 

@@ -196,6 +196,16 @@ impl DriftReport {
 /// between windows via
 /// [`reset_baseline`](StreamingEstimator::reset_baseline) rather than
 /// duplicated kernel state.
+///
+/// A scorer serves batch audits ([`DriftScorer::finish`] also scores a
+/// final partial window) and long-lived freshness monitors alike: the
+/// serving daemon holds one per stored profile and reads
+/// [`DriftScorer::report`], [`DriftScorer::stale`] and
+/// [`DriftScorer::widening_factor`] without consuming it. Staleness
+/// **latches** — once any window crosses the threshold the profile stays
+/// stale until it is re-profiled, because bounds calibrated on the old
+/// regime do not become trustworthy again just because the stream
+/// wandered back.
 #[derive(Debug, Clone)]
 pub struct DriftScorer {
     baseline: DriftBaseline,
@@ -216,6 +226,13 @@ impl DriftScorer {
         }
     }
 
+    /// Profiles a baseline from `outputs` (the same outputs profile
+    /// generation computed) and scores against it. `None` when the
+    /// stream holds fewer than two full windows.
+    pub fn from_outputs(outputs: &[f64], window: usize, threshold: f64) -> Option<Self> {
+        DriftBaseline::from_outputs(outputs, window).map(|b| DriftScorer::new(b, threshold))
+    }
+
     /// Ingests one model output in stream order, scoring (and resetting)
     /// whenever a window fills.
     pub fn push(&mut self, output: f64) {
@@ -228,11 +245,48 @@ impl DriftScorer {
         }
     }
 
+    /// Ingests a batch of outputs in stream order.
+    pub fn extend(&mut self, outputs: &[f64]) {
+        for &v in outputs {
+            self.push(v);
+        }
+    }
+
+    /// The accumulated report over all *full* windows scored so far.
+    pub fn report(&self) -> DriftReport {
+        self.report
+    }
+
+    /// Whether any window has crossed the threshold (latched).
+    pub fn stale(&self) -> bool {
+        self.report.flagged()
+    }
+
+    /// Multiplicative factor by which served error bounds should be
+    /// widened while the profile is stale: `1.0` while fresh, and at
+    /// least `1.0` once staleness latches — the worst observed window
+    /// score relative to the flagging threshold. A profile that barely
+    /// crossed the threshold widens barely; one whose stream drifted far
+    /// from the baseline widens proportionally. Like the flag itself the
+    /// factor never shrinks until re-profiling.
+    pub fn widening_factor(&self) -> f64 {
+        if !self.stale() || self.threshold <= 0.0 {
+            1.0
+        } else {
+            (self.report.max_score / self.threshold).max(1.0)
+        }
+    }
+
+    /// Outputs buffered in the current (not yet scored) partial window.
+    pub fn pending(&self) -> usize {
+        self.estimator.len()
+    }
+
     /// Scores a final partial window (if it holds at least half a window
     /// of outputs — shorter tails are too noisy to judge) and returns the
     /// accumulated report.
     pub fn finish(mut self) -> DriftReport {
-        if self.estimator.len() >= self.baseline.window.div_ceil(2) {
+        if self.pending() >= self.baseline.window.div_ceil(2) {
             self.score_current_window();
         }
         self.report
@@ -259,9 +313,7 @@ impl DriftScorer {
 /// [`DriftScorer`].
 pub fn drift_score(baseline: &DriftBaseline, outputs: &[f64], threshold: f64) -> DriftReport {
     let mut scorer = DriftScorer::new(*baseline, threshold);
-    for &v in outputs {
-        scorer.push(v);
-    }
+    scorer.extend(outputs);
     scorer.finish()
 }
 
@@ -382,6 +434,10 @@ mod tests {
         for &v in &stream {
             scorer.push(v);
         }
+        // Mid-stream, the report covers full windows only; the tail is
+        // still pending.
+        assert_eq!(scorer.report().windows_scored, 7);
+        assert_eq!(scorer.pending(), 104);
         assert_eq!(scorer.finish(), batch);
         // 1000 = 7 full windows of 128 (896) + a 104-output tail ≥ 64:
         // the tail is scored too.
@@ -390,5 +446,64 @@ mod tests {
         // A tail shorter than half a window is dropped.
         let short = drift_score(&b, &stream[..896 + 40], DEFAULT_DRIFT_THRESHOLD);
         assert_eq!(short.windows_scored, 7);
+    }
+
+    #[test]
+    fn stale_latches_on_prevalence_drift_with_zero_false_positives() {
+        let window = 256;
+
+        // Clean streams from the same regime, many seeds: the staleness
+        // flag must never flip (zero false positives is the contract that
+        // makes serving the flag actionable).
+        for seed in 0..8u64 {
+            let baseline = noisy_stream(4_096, 5.0, 100 + seed);
+            let mut scorer =
+                DriftScorer::from_outputs(&baseline, window, DEFAULT_DRIFT_THRESHOLD).unwrap();
+            scorer.extend(&noisy_stream(4_096, 5.0, 200 + seed));
+            assert!(
+                !scorer.stale(),
+                "seed {seed}: clean stream flagged stale, max_score={}",
+                scorer.report().max_score
+            );
+            assert!(scorer.report().windows_scored >= 16);
+            assert_eq!(scorer.report().windows_flagged, 0);
+        }
+
+        // A prevalence shift mid-stream must latch the flag — and keep it
+        // latched even after the stream returns to the old regime.
+        let baseline = noisy_stream(4_096, 5.0, 42);
+        let mut scorer =
+            DriftScorer::from_outputs(&baseline, window, DEFAULT_DRIFT_THRESHOLD).unwrap();
+        scorer.extend(&noisy_stream(1_024, 5.0, 43));
+        assert!(!scorer.stale(), "pre-drift stretch is clean");
+        let drifted: Vec<f64> = noisy_stream(1_024, 5.0, 44).iter().map(|v| v * 2.5).collect();
+        scorer.extend(&drifted);
+        assert!(scorer.stale(), "prevalence drift flips the flag");
+        scorer.extend(&noisy_stream(1_024, 5.0, 45));
+        assert!(scorer.stale(), "staleness is latched until re-profiling");
+        assert!(scorer.report().max_score > DEFAULT_DRIFT_THRESHOLD);
+    }
+
+    #[test]
+    fn widening_factor_is_one_while_fresh_and_tracks_worst_window() {
+        let baseline = noisy_stream(4_096, 5.0, 42);
+        let mut scorer = DriftScorer::from_outputs(&baseline, 256, DEFAULT_DRIFT_THRESHOLD).unwrap();
+        scorer.extend(&noisy_stream(1_024, 5.0, 43));
+        assert_eq!(scorer.widening_factor(), 1.0, "fresh profile never widens");
+
+        let drifted: Vec<f64> = noisy_stream(1_024, 5.0, 44).iter().map(|v| v * 2.5).collect();
+        scorer.extend(&drifted);
+        assert!(scorer.stale());
+        let widen = scorer.widening_factor();
+        assert!(widen > 1.0, "stale profile widens, got {widen}");
+        assert_eq!(
+            widen,
+            scorer.report().max_score / DEFAULT_DRIFT_THRESHOLD,
+            "factor is the worst window score relative to the threshold"
+        );
+
+        // Back on the old regime the factor stays latched, like the flag.
+        scorer.extend(&noisy_stream(1_024, 5.0, 45));
+        assert!(scorer.widening_factor() >= widen);
     }
 }

@@ -13,7 +13,6 @@
 //! sort-based quantile estimators.
 
 use crate::estimate::{estimate_from_outputs, Aggregate, Estimate};
-use crate::similarity::{DriftBaseline, DriftReport};
 use crate::Result;
 
 /// Progress state of a streaming estimation.
@@ -134,116 +133,6 @@ impl StreamingEstimator {
     }
 }
 
-/// Long-lived profile-freshness monitor for a served profile.
-///
-/// [`DriftScorer`](crate::similarity::DriftScorer) is built for batch
-/// audits: its `finish()` consumes the scorer, so a server holding one per
-/// stored profile could never report freshness without destroying the
-/// monitor mid-stream. `FreshnessMonitor` closes that seam: it scores
-/// consecutive **full** windows exactly like the scorer (same reused
-/// [`StreamingEstimator`] kernel, same [`DriftBaseline`] arithmetic) but
-/// stays alive across reports, and it **latches** staleness — once any
-/// window crosses the threshold, the profile stays flagged stale until it
-/// is re-profiled, because bounds calibrated on the old regime do not
-/// become trustworthy again just because the stream wandered back.
-#[derive(Debug, Clone)]
-pub struct FreshnessMonitor {
-    baseline: DriftBaseline,
-    threshold: f64,
-    estimator: StreamingEstimator,
-    report: DriftReport,
-    stale: bool,
-}
-
-impl FreshnessMonitor {
-    /// Creates a monitor flagging windows whose score exceeds `threshold`.
-    pub fn new(baseline: DriftBaseline, threshold: f64) -> Self {
-        let estimator = StreamingEstimator::new(Aggregate::Avg, baseline.window, 0.05);
-        FreshnessMonitor {
-            baseline,
-            threshold,
-            estimator,
-            report: DriftReport::default(),
-            stale: false,
-        }
-    }
-
-    /// Profiles a baseline from `outputs` (the same outputs profile
-    /// generation computed) and wraps it in a monitor. `None` when the
-    /// stream holds fewer than two full windows.
-    pub fn from_outputs(outputs: &[f64], window: usize, threshold: f64) -> Option<Self> {
-        DriftBaseline::from_outputs(outputs, window).map(|b| FreshnessMonitor::new(b, threshold))
-    }
-
-    /// Ingests one live model output, scoring whenever a window fills.
-    pub fn push(&mut self, output: f64) {
-        self.estimator
-            .push(output)
-            .expect("AVG estimation over a bounded window cannot fail");
-        if self.estimator.len() >= self.baseline.window {
-            let mean = self
-                .estimator
-                .estimate()
-                .expect("AVG estimation over a bounded window cannot fail")
-                .y_approx();
-            let score = self.baseline.score(mean);
-            self.report.windows_scored += 1;
-            if score > self.threshold {
-                self.report.windows_flagged += 1;
-                self.stale = true;
-            }
-            if score > self.report.max_score {
-                self.report.max_score = score;
-            }
-            self.estimator.reset_baseline();
-        }
-    }
-
-    /// Ingests a batch of outputs in stream order.
-    pub fn extend(&mut self, outputs: &[f64]) {
-        for &v in outputs {
-            self.push(v);
-        }
-    }
-
-    /// The accumulated report over all *full* windows scored so far.
-    /// Non-consuming: the monitor keeps running.
-    pub fn report(&self) -> DriftReport {
-        self.report
-    }
-
-    /// The latched staleness flag.
-    pub fn stale(&self) -> bool {
-        self.stale
-    }
-
-    /// Multiplicative factor by which served error bounds should be
-    /// widened while the profile is stale: `1.0` while fresh, and at
-    /// least `1.0` once staleness latches — the worst observed window
-    /// score relative to the flagging threshold. A profile that barely
-    /// crossed the threshold widens barely; one whose stream drifted far
-    /// from the baseline widens proportionally. Like the flag itself the
-    /// factor never shrinks until re-profiling, because the bound
-    /// calibration does not recover when the stream wanders back.
-    pub fn widening_factor(&self) -> f64 {
-        if !self.stale || self.threshold <= 0.0 {
-            1.0
-        } else {
-            (self.report.max_score / self.threshold).max(1.0)
-        }
-    }
-
-    /// The baseline being scored against.
-    pub fn baseline(&self) -> &DriftBaseline {
-        &self.baseline
-    }
-
-    /// Outputs buffered in the current (not yet scored) partial window.
-    pub fn pending(&self) -> usize {
-        self.estimator.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,113 +222,6 @@ mod tests {
         assert_eq!(s.estimate().unwrap(), first);
         assert_eq!(s.estimate().unwrap(), fresh.estimate().unwrap());
         assert_eq!(s.cached_estimate(), fresh.cached_estimate());
-    }
-
-    /// A deterministic noisy stream around `level` (LCG, no global rng) —
-    /// the same shape the drift tests in `similarity` use.
-    fn noisy_stream(n: usize, level: f64, seed: u64) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                level + ((state >> 33) % 7) as f64 - 3.0
-            })
-            .collect()
-    }
-
-    #[test]
-    fn freshness_monitor_flags_prevalence_drift_with_zero_false_positives() {
-        use crate::similarity::DEFAULT_DRIFT_THRESHOLD;
-        let window = 256;
-
-        // Clean streams from the same regime, many seeds: the staleness
-        // flag must never flip (zero false positives is the contract that
-        // makes serving the flag actionable).
-        for seed in 0..8u64 {
-            let baseline = noisy_stream(4_096, 5.0, 100 + seed);
-            let mut monitor =
-                FreshnessMonitor::from_outputs(&baseline, window, DEFAULT_DRIFT_THRESHOLD)
-                    .unwrap();
-            monitor.extend(&noisy_stream(4_096, 5.0, 200 + seed));
-            assert!(
-                !monitor.stale(),
-                "seed {seed}: clean stream flagged stale, max_score={}",
-                monitor.report().max_score
-            );
-            assert!(monitor.report().windows_scored >= 16);
-            assert_eq!(monitor.report().windows_flagged, 0);
-        }
-
-        // A prevalence shift mid-stream must latch the flag — and keep it
-        // latched even after the stream returns to the old regime.
-        let mut monitor = FreshnessMonitor::from_outputs(
-            &noisy_stream(4_096, 5.0, 42),
-            window,
-            DEFAULT_DRIFT_THRESHOLD,
-        )
-        .unwrap();
-        monitor.extend(&noisy_stream(1_024, 5.0, 43));
-        assert!(!monitor.stale(), "pre-drift stretch is clean");
-        let drifted: Vec<f64> = noisy_stream(1_024, 5.0, 44).iter().map(|v| v * 2.5).collect();
-        monitor.extend(&drifted);
-        assert!(monitor.stale(), "prevalence drift flips the flag");
-        let flagged_at = monitor.report().windows_flagged;
-        assert!(flagged_at > 0);
-        monitor.extend(&noisy_stream(1_024, 5.0, 45));
-        assert!(monitor.stale(), "staleness is latched until re-profiling");
-        assert!(monitor.report().max_score > DEFAULT_DRIFT_THRESHOLD);
-    }
-
-    #[test]
-    fn widening_factor_is_one_while_fresh_and_tracks_worst_window() {
-        use crate::similarity::DEFAULT_DRIFT_THRESHOLD;
-        let window = 256;
-        let mut monitor = FreshnessMonitor::from_outputs(
-            &noisy_stream(4_096, 5.0, 42),
-            window,
-            DEFAULT_DRIFT_THRESHOLD,
-        )
-        .unwrap();
-        monitor.extend(&noisy_stream(1_024, 5.0, 43));
-        assert_eq!(monitor.widening_factor(), 1.0, "fresh profile never widens");
-
-        let drifted: Vec<f64> = noisy_stream(1_024, 5.0, 44).iter().map(|v| v * 2.5).collect();
-        monitor.extend(&drifted);
-        assert!(monitor.stale());
-        let widen = monitor.widening_factor();
-        assert!(widen > 1.0, "stale profile widens, got {widen}");
-        assert_eq!(
-            widen,
-            monitor.report().max_score / DEFAULT_DRIFT_THRESHOLD,
-            "factor is the worst window score relative to the threshold"
-        );
-
-        // Back on the old regime the factor stays latched, like the flag.
-        monitor.extend(&noisy_stream(1_024, 5.0, 45));
-        assert!(monitor.widening_factor() >= widen);
-    }
-
-    #[test]
-    fn freshness_monitor_matches_drift_scorer_on_full_windows() {
-        use crate::similarity::{DriftBaseline, DriftScorer, DEFAULT_DRIFT_THRESHOLD};
-        let window = 128;
-        let baseline =
-            DriftBaseline::from_outputs(&noisy_stream(2_048, 4.0, 3), window).unwrap();
-        // 4 exactly-full windows: scorer and monitor agree window for
-        // window (the monitor never scores a partial tail — it is still
-        // live — so compare on a stream with no tail).
-        let stream = noisy_stream(window * 4, 4.0, 9);
-        let mut scorer = DriftScorer::new(baseline, DEFAULT_DRIFT_THRESHOLD);
-        let mut monitor = FreshnessMonitor::new(baseline, DEFAULT_DRIFT_THRESHOLD);
-        for &v in &stream {
-            scorer.push(v);
-            monitor.extend(&[v]);
-        }
-        assert_eq!(monitor.report(), scorer.finish());
-        assert_eq!(monitor.pending(), 0);
-        assert_eq!(monitor.baseline(), &baseline);
     }
 
     #[test]

@@ -459,7 +459,7 @@ mod tests {
     #[test]
     fn try_outputs_drop_and_count_failed_calls() {
         use smokescreen_models::RetryPolicy;
-        use smokescreen_rt::fault::FaultPlan;
+        use smokescreen_rt::fault::{FaultMix, FaultPlan};
 
         let (corpus, idx) = setup();
         let yolo = SimYoloV4::new(4);
@@ -473,7 +473,8 @@ mod tests {
 
         // Under a timeout-heavy plan, failures are dropped and counted and
         // the survivors are the clean subsequence (payloads never corrupt).
-        let plan = FaultPlan::with_rates(17, 0.3, 0.0, 0.0, 0.0);
+        let timeouts = FaultMix { timeout: 1.0, transient: 0.0, slow: 0.0, poison: 0.0 };
+        let plan = FaultPlan::with_stream(17, 0.3, timeouts);
         let cache = OutputCache::with_faults(&yolo, plan, RetryPolicy::default());
         let chaotic = view.try_outputs_cached(&cache, ObjectClass::Car);
         assert!(chaotic.lost > 0, "a 30% timeout plan must lose frames");

@@ -347,6 +347,7 @@ impl<'d> OutputCache<'d> {
 mod tests {
     use super::*;
     use crate::yolo::SimYoloV4;
+    use smokescreen_rt::fault::FaultMix;
     use smokescreen_rt::pool::Pool;
     use smokescreen_video::synth::DatasetPreset;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -513,7 +514,8 @@ mod tests {
         let yolo = SimYoloV4::new(11);
         let res = Resolution::square(416);
         // Poison-only plan: every faulted call succeeds but is uncacheable.
-        let plan = FaultPlan::with_rates(3, 0.0, 0.0, 0.0, 0.2);
+        let poison = FaultMix { timeout: 0.0, transient: 0.0, slow: 0.0, poison: 1.0 };
+        let plan = FaultPlan::with_stream(3, 0.2, poison);
         let cache = OutputCache::with_faults(&yolo, plan, RetryPolicy::default());
         for _ in 0..2 {
             for f in corpus.frames() {
@@ -539,7 +541,8 @@ mod tests {
         let yolo = SimYoloV4::new(12);
         let res = Resolution::square(320);
         // Timeout-only plan: some call will fail permanently.
-        let plan = FaultPlan::with_rates(1, 0.5, 0.0, 0.0, 0.0);
+        let timeouts = FaultMix { timeout: 1.0, transient: 0.0, slow: 0.0, poison: 0.0 };
+        let plan = FaultPlan::with_stream(1, 0.5, timeouts);
         let cache = OutputCache::with_faults(&yolo, plan, RetryPolicy::default());
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));

@@ -74,8 +74,10 @@ pub fn read_u64(bytes: &[u8], at: usize) -> u64 {
 }
 
 /// Atomically replaces `path` with `bytes`: writes a temporary sibling
-/// file, syncs it, and renames it over the target. Readers (and crashes)
-/// observe either the old contents or the new, never a torn mixture.
+/// file, syncs it, renames it over the target and syncs the parent
+/// directory. Readers (and crashes) observe either the old contents or
+/// the new, never a torn mixture; once this returns, the new directory
+/// entry survives a power loss too.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = sibling_tmp_path(path);
     {
@@ -85,7 +87,16 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     }
     std::fs::rename(&tmp, path).inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
-    })
+    })?;
+    File::open(parent_dir(path))?.sync_all()
+}
+
+/// The directory holding `path`; a bare file name lives in `.`.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
 }
 
 fn sibling_tmp_path(path: &Path) -> PathBuf {
@@ -381,6 +392,13 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), b"second-longer");
         // No temp residue.
         assert!(!sibling_tmp_path(&path).exists());
+    }
+
+    #[test]
+    fn parent_dir_of_a_bare_file_name_is_the_working_directory() {
+        assert_eq!(parent_dir(Path::new("profiles.data")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("store/profiles.data")), Path::new("store"));
+        assert_eq!(parent_dir(Path::new("/tmp/profiles.data")), Path::new("/tmp"));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   acked put is already durable (`sync_data` before the `ok` frame), so
 //!   a reopen recovers all acknowledged writes by scan or index replay.
 //!
-//! Freshness (the `core::streaming` seam): each key may grow a
-//! [`FreshnessMonitor`] from outputs pushed via `push_outputs`. The first
+//! Freshness (the `core::similarity` seam): each key may grow a
+//! [`DriftScorer`] from outputs pushed via `push_outputs`. The first
 //! pushes accumulate until two full windows establish a drift baseline;
 //! later pushes are scored, and `get_profile` responses carry the
 //! resulting [`DriftStatus`] so a stale profile is visible at read time.
@@ -53,9 +53,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use smokescreen_camera::cost::{transmission_cost, EnergyModel};
-use smokescreen_core::{
-    FreshnessMonitor, ProfilePoint, DEFAULT_DRIFT_THRESHOLD, DEFAULT_DRIFT_WINDOW,
-};
+use smokescreen_core::{DriftScorer, ProfilePoint, DEFAULT_DRIFT_THRESHOLD, DEFAULT_DRIFT_WINDOW};
 use smokescreen_rt::fault::{DiskFaultPlan, NetFaultKind, NetFaultPlan};
 use smokescreen_rt::json::Json;
 use smokescreen_rt::pool::Pool;
@@ -424,7 +422,7 @@ pub struct ServerReport {
 #[derive(Default)]
 struct MonitorSlot {
     pending: Vec<f64>,
-    monitor: Option<FreshnessMonitor>,
+    monitor: Option<DriftScorer>,
 }
 
 impl MonitorSlot {
@@ -436,7 +434,7 @@ impl MonitorSlot {
             None => {
                 self.pending.extend_from_slice(outputs);
                 if let Some(monitor) =
-                    FreshnessMonitor::from_outputs(&self.pending, window, threshold)
+                    DriftScorer::from_outputs(&self.pending, window, threshold)
                 {
                     self.pending = Vec::new();
                     self.monitor = Some(monitor);
@@ -462,7 +460,7 @@ impl MonitorSlot {
     }
 
     fn stale(&self) -> bool {
-        self.monitor.as_ref().is_some_and(FreshnessMonitor::stale)
+        self.monitor.as_ref().is_some_and(DriftScorer::stale)
     }
 }
 

@@ -30,4 +30,4 @@ pub mod synth;
 pub use corpus::{CorpusStats, VideoCorpus};
 pub use frame::Frame;
 pub use object::{BBox, Object, ObjectClass, Resolution};
-pub use perturb::{PerturbKind, PerturbPlan, Perturbation};
+pub use perturb::{Perturb, PerturbKind, PerturbPlan, Perturbation};

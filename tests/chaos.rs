@@ -27,7 +27,7 @@ use smokescreen::degrade::{CandidateGrid, RestrictionIndex};
 use smokescreen::models::{Detector, SimMaskRcnn, SimYoloV4};
 use smokescreen::video::synth::DatasetPreset;
 use smokescreen::video::{ObjectClass, Resolution};
-use smokescreen_rt::fault::{FaultPlan, FAULT_RATE_ENV};
+use smokescreen_rt::fault::{FaultMix, FaultPlan, Stream};
 
 struct Fixture {
     corpus: smokescreen::video::VideoCorpus,
@@ -356,7 +356,7 @@ fn env_configured_chaos_run_is_deterministic() {
     // — including rate 0 meaning faults disabled; when absent (a bare
     // `cargo test`), fall back to a fixed 5% plan so the path is always
     // exercised.
-    let plan = if std::env::var_os(FAULT_RATE_ENV).is_some() {
+    let plan = if std::env::var_os(FaultMix::RATE_ENV).is_some() {
         FaultPlan::from_env()
     } else {
         Some(FaultPlan::new(42, 0.05))
@@ -367,7 +367,7 @@ fn env_configured_chaos_run_is_deterministic() {
     assert_eq!(p1.to_json().unwrap(), p8.to_json().unwrap());
     assert_eq!(chaos_fields(&r1), chaos_fields(&r8));
     match plan {
-        Some(p) if p.total_rate() > 0.0 => {
+        Some(p) if p.rate() > 0.0 => {
             assert!(r1.faults_injected > 0, "armed plan must fire")
         }
         _ => assert_eq!(r1.faults_injected, 0, "disabled faults must be silent"),

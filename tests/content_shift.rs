@@ -25,7 +25,7 @@ use smokescreen::models::{Detector, SimYoloV4};
 use smokescreen_rt::fault::FaultPlan;
 use smokescreen_rt::json::{Json, ToJson};
 use smokescreen::video::synth::DatasetPreset;
-use smokescreen::video::{ObjectClass, PerturbKind, PerturbPlan, Resolution, VideoCorpus};
+use smokescreen::video::{ObjectClass, Perturb, PerturbKind, PerturbPlan, Resolution, VideoCorpus};
 use smokescreen_bench::robust::{
     check, robust_file_name, run, AuditCell, AuditConfig, RobustAudit, StreamAudit, SCHEMA,
 };
@@ -80,7 +80,7 @@ fn every_kind_changes_detector_outputs_at_high_rate() {
     let clean = DatasetPreset::Detrac.generate(5).slice(0, 1_000);
     let clean_outputs = outputs_of(&clean, &detector);
     for kind in PerturbKind::ALL {
-        let perturbed = PerturbPlan::new(5, 0.5, kind).apply(&clean);
+        let perturbed = PerturbPlan::with_stream(5, 0.5, kind).apply(&clean);
         let outputs = outputs_of(&perturbed, &detector);
         assert_ne!(
             outputs, clean_outputs,
@@ -95,7 +95,7 @@ fn zero_rate_plans_are_inert_on_corpora_and_outputs() {
     let detector = SimYoloV4::new(5);
     let clean = DatasetPreset::Detrac.generate(5).slice(0, 600);
     for kind in PerturbKind::ALL {
-        let perturbed = PerturbPlan::new(5, 0.0, kind).apply(&clean);
+        let perturbed = PerturbPlan::with_stream(5, 0.0, kind).apply(&clean);
         assert_eq!(format!("{perturbed:?}"), format!("{clean:?}"));
         assert_eq!(outputs_of(&perturbed, &detector), outputs_of(&clean, &detector));
     }
@@ -110,7 +110,7 @@ fn zero_rate_plans_are_inert_on_corpora_and_outputs() {
 fn perturbed_corpora_replay_byte_identically() {
     let clean = DatasetPreset::NightStreet.generate(11).slice(0, 800);
     for kind in PerturbKind::ALL {
-        let plan = PerturbPlan::new(11, 0.3, kind);
+        let plan = PerturbPlan::with_stream(11, 0.3, kind);
         let a = plan.apply(&clean);
         let b = plan.apply(&clean);
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "{kind}: replay diverged");
@@ -153,7 +153,7 @@ fn perturbed_profile(
 #[test]
 fn perturbed_profiles_are_byte_identical_across_threads_and_fault_rates() {
     let clean = DatasetPreset::Detrac.generate(7).slice(0, 1_200);
-    let corpus = PerturbPlan::new(7, 0.25, PerturbKind::Occlusion).apply(&clean);
+    let corpus = PerturbPlan::with_stream(7, 0.25, PerturbKind::Occlusion).apply(&clean);
     for fault_rate in [0.0, 0.05] {
         let faults = Some(FaultPlan::new(99, fault_rate));
         let (reference, ref_runs) = perturbed_profile(&corpus, 1, faults);
@@ -206,7 +206,7 @@ fn drift_scorer_flags_prevalence_drift_and_only_that_stream() {
         clean_report.max_score
     );
 
-    let drifted = PerturbPlan::new(3, 0.3, PerturbKind::Drift).apply(&clean);
+    let drifted = PerturbPlan::with_stream(3, 0.3, PerturbKind::Drift).apply(&clean);
     let drift_report = drift_score(
         &baseline,
         &outputs_of(&drifted, &detector),

@@ -36,7 +36,7 @@ use smokescreen::degrade::{CandidateGrid, RestrictionIndex};
 use smokescreen::models::{Detector, SimYoloV4};
 use smokescreen::video::synth::DatasetPreset;
 use smokescreen::video::{ObjectClass, Resolution};
-use smokescreen_rt::fault::{CrashKind, CrashPlan, FaultPlan, CRASH_RATE_ENV, FAULT_RATE_ENV};
+use smokescreen_rt::fault::{CrashKind, CrashPlan, Crashes, FaultMix, FaultPlan, Stream};
 use smokescreen_rt::rng::StdRng;
 
 const N_CELLS: usize = 6; // 3 resolutions × 2 removal combos
@@ -369,12 +369,12 @@ fn env_configured_crash_resume_matrix_is_deterministic() {
     // the path exercised. The reference run below uses *no* checkpoint
     // directory, so diffing it against the golden also proves the feature
     // is inert when disabled.
-    let crash = if std::env::var_os(CRASH_RATE_ENV).is_some() {
+    let crash = if std::env::var_os(Crashes::RATE_ENV).is_some() {
         CrashPlan::from_env()
     } else {
         Some(CrashPlan::new(firing_seeds(0.5, 1)[0], 0.5))
     };
-    let faults = if std::env::var_os(FAULT_RATE_ENV).is_some() {
+    let faults = if std::env::var_os(FaultMix::RATE_ENV).is_some() {
         FaultPlan::from_env()
     } else {
         None
@@ -401,7 +401,7 @@ fn env_configured_crash_resume_matrix_is_deterministic() {
     // profile must not depend on crash seed or thread count.
     let golden_name = match faults {
         None => Some("crash_resume_rate0.json"),
-        Some(p) if p.seed() == 42 && (p.total_rate() - 0.05).abs() < 1e-12 => {
+        Some(p) if p.seed() == 42 && (p.rate() - 0.05).abs() < 1e-12 => {
             Some("crash_resume_rate005.json")
         }
         _ => None,
