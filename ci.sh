@@ -39,6 +39,13 @@ SMOKESCREEN_THREADS=1 cargo test -q --offline --workspace
 echo "=== test suite @ SMOKESCREEN_THREADS=8 ==="
 SMOKESCREEN_THREADS=8 cargo test -q --offline --workspace
 
+echo "=== perfbench: builds against the workspace APIs, self-tests pass ==="
+# The end-to-end benchmark (perfbench/, its own workspace) compiles
+# against the smokescreen-serve protocol and rt::json public APIs, and
+# nothing else here builds it. Its target directory and lockfile are
+# ignored, so the hygiene check at the bottom stays green.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "=== chaos suite: fault rates {0, 0.05} x threads {1, 8, 16} ==="
 # Deterministic fault injection: rate 0 must be byte-invisible; rate 0.05
 # must injure model calls yet replay byte-identically at any worker

@@ -20,8 +20,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use smokescreen_bench::robust::{check, robust_file_name, run, AuditConfig, RobustAudit};
-use smokescreen_bench::trajectory::{git_rev, schema_of};
-use smokescreen_rt::json::Json;
+use smokescreen_bench::trajectory::{check_schema_golden, git_rev};
+use smokescreen_rt::json::ToJson;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -88,7 +88,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     );
 
     if let Some(golden) = flag_value(args, "--schema-golden") {
-        if let Err(e) = check_schema(&audit, Path::new(&golden)) {
+        if let Err(e) = check_schema_golden(&audit.to_json(), Path::new(&golden), "content_shift") {
             eprintln!("robust: schema mismatch: {e}");
             return ExitCode::from(2);
         }
@@ -148,24 +148,5 @@ fn report_audit(audit: &RobustAudit) -> ExitCode {
             eprintln!("robust: VIOLATION: {v}");
         }
         ExitCode::from(1)
-    }
-}
-
-fn check_schema(audit: &RobustAudit, golden_path: &Path) -> Result<(), String> {
-    use smokescreen_rt::json::ToJson;
-    let golden_text = std::fs::read_to_string(golden_path)
-        .map_err(|e| format!("{}: {e}", golden_path.display()))?;
-    let golden =
-        Json::parse(&golden_text).map_err(|e| format!("{}: {e}", golden_path.display()))?;
-    let actual = schema_of(&audit.to_json());
-    if actual == golden {
-        Ok(())
-    } else {
-        Err(format!(
-            "schema drift vs {} — regen with UPDATE_GOLDEN=1 cargo test -p smokescreen \
-             --test content_shift\nactual: {}",
-            golden_path.display(),
-            actual.encode_pretty()
-        ))
     }
 }

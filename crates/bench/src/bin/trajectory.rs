@@ -20,10 +20,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use smokescreen_bench::trajectory::{
-    check_floors, compare, git_rev, highest_bench_number, latest_bench_below, run, schema_of,
-    Trajectory, TrajectoryConfig, DEFAULT_THRESHOLD,
+    check_floors, check_schema_golden, compare, git_rev, highest_bench_number, latest_bench_below,
+    run, Trajectory, TrajectoryConfig, DEFAULT_THRESHOLD,
 };
-use smokescreen_rt::json::Json;
+use smokescreen_rt::json::ToJson;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -113,7 +113,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     println!("wrote {}", path.display());
 
     if let Some(golden) = flag_value(args, "--schema-golden") {
-        check_schema(&trajectory, Path::new(&golden))
+        check_schema_golden(&trajectory.to_json(), Path::new(&golden), "trajectory_schema")
             .map_err(|e| format!("schema mismatch: {e}"))?;
         println!("schema matches {golden}");
     }
@@ -167,24 +167,5 @@ fn report_comparison(prev: &Trajectory, cur: &Trajectory, threshold: f64) -> Exi
     } else {
         println!("no regressions past {:.0}%", threshold * 100.0);
         ExitCode::SUCCESS
-    }
-}
-
-fn check_schema(trajectory: &Trajectory, golden_path: &Path) -> Result<(), String> {
-    use smokescreen_rt::json::ToJson;
-    let golden_text = std::fs::read_to_string(golden_path)
-        .map_err(|e| format!("{}: {e}", golden_path.display()))?;
-    let golden =
-        Json::parse(&golden_text).map_err(|e| format!("{}: {e}", golden_path.display()))?;
-    let actual = schema_of(&trajectory.to_json());
-    if actual == golden {
-        Ok(())
-    } else {
-        Err(format!(
-            "schema drift vs {} — regen with UPDATE_GOLDEN=1 cargo test -p smokescreen \
-             --test trajectory_schema\nactual: {}",
-            golden_path.display(),
-            actual.encode_pretty()
-        ))
     }
 }

@@ -39,6 +39,7 @@ use smokescreen_core::{
 };
 use smokescreen_models::Detector;
 use smokescreen_rt::json::{FromJson, Json, JsonError, ToJson};
+use smokescreen_rt::json_codec;
 use smokescreen_stats::sample::sample_indices;
 use smokescreen_video::synth::DatasetPreset;
 use smokescreen_video::{ObjectClass, Perturb, PerturbKind, PerturbPlan, VideoCorpus};
@@ -162,39 +163,10 @@ pub struct AuditCell {
     pub degraded: bool,
 }
 
-impl ToJson for AuditCell {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("corpus", self.corpus.to_json()),
-            ("kind", self.kind.to_json()),
-            ("rate", self.rate.to_json()),
-            ("aggregate", self.aggregate.to_json()),
-            ("fraction", self.fraction.to_json()),
-            ("trials", self.trials.to_json()),
-            ("coverage_perturbed", self.coverage_perturbed.to_json()),
-            ("coverage_clean", self.coverage_clean.to_json()),
-            ("strict_violations", self.strict_violations.to_json()),
-            ("mean_err_bound", self.mean_err_bound.to_json()),
-            ("degraded", self.degraded.to_json()),
-        ])
-    }
-}
-
-impl FromJson for AuditCell {
-    fn from_json(value: &Json) -> smokescreen_rt::json::Result<Self> {
-        Ok(AuditCell {
-            corpus: String::from_json(value.get("corpus")?)?,
-            kind: String::from_json(value.get("kind")?)?,
-            rate: value.get("rate")?.as_f64()?,
-            aggregate: String::from_json(value.get("aggregate")?)?,
-            fraction: value.get("fraction")?.as_f64()?,
-            trials: value.get("trials")?.as_usize()?,
-            coverage_perturbed: value.get("coverage_perturbed")?.as_f64()?,
-            coverage_clean: value.get("coverage_clean")?.as_f64()?,
-            strict_violations: value.get("strict_violations")?.as_usize()?,
-            mean_err_bound: value.get("mean_err_bound")?.as_f64()?,
-            degraded: value.get("degraded")?.as_bool()?,
-        })
+json_codec! {
+    AuditCell {
+        corpus, kind, rate, aggregate, fraction, trials, coverage_perturbed, coverage_clean,
+        strict_violations, mean_err_bound, degraded,
     }
 }
 
@@ -217,31 +189,9 @@ pub struct StreamAudit {
     pub flagged: bool,
 }
 
-impl ToJson for StreamAudit {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("corpus", self.corpus.to_json()),
-            ("kind", self.kind.to_json()),
-            ("rate", self.rate.to_json()),
-            ("max_score", self.max_score.to_json()),
-            ("windows_scored", self.windows_scored.to_json()),
-            ("windows_flagged", self.windows_flagged.to_json()),
-            ("flagged", self.flagged.to_json()),
-        ])
-    }
-}
-
-impl FromJson for StreamAudit {
-    fn from_json(value: &Json) -> smokescreen_rt::json::Result<Self> {
-        Ok(StreamAudit {
-            corpus: String::from_json(value.get("corpus")?)?,
-            kind: String::from_json(value.get("kind")?)?,
-            rate: value.get("rate")?.as_f64()?,
-            max_score: value.get("max_score")?.as_f64()?,
-            windows_scored: value.get("windows_scored")?.as_usize()?,
-            windows_flagged: value.get("windows_flagged")?.as_usize()?,
-            flagged: value.get("flagged")?.as_bool()?,
-        })
+json_codec! {
+    StreamAudit {
+        corpus, kind, rate, max_score, windows_scored, windows_flagged, flagged,
     }
 }
 
@@ -301,62 +251,15 @@ impl RobustAudit {
     }
 }
 
-impl ToJson for RobustAudit {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema", self.schema.to_json()),
-            ("pr", self.pr.to_json()),
-            ("git_rev", self.git_rev.to_json()),
-            ("smoke", self.smoke.to_json()),
-            ("trials", self.trials.to_json()),
-            ("frames", self.frames.to_json()),
-            ("delta", self.delta.to_json()),
-            ("strict_delta", self.strict_delta.to_json()),
-            ("drift_window", self.drift_window.to_json()),
-            ("drift_threshold", self.drift_threshold.to_json()),
-            (
-                "cells",
-                Json::Arr(self.cells.iter().map(ToJson::to_json).collect()),
-            ),
-            (
-                "streams",
-                Json::Arr(self.streams.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+json_codec! {
+    RobustAudit {
+        schema, pr, git_rev, smoke, trials, frames, delta, strict_delta, drift_window,
+        drift_threshold, cells, streams,
     }
-}
-
-impl FromJson for RobustAudit {
-    fn from_json(value: &Json) -> smokescreen_rt::json::Result<Self> {
-        let cells = value
-            .get("cells")?
-            .as_arr()?
-            .iter()
-            .map(AuditCell::from_json)
-            .collect::<smokescreen_rt::json::Result<Vec<_>>>()?;
-        if cells.is_empty() {
-            return Err(JsonError::new("audit has no cells"));
-        }
-        let streams = value
-            .get("streams")?
-            .as_arr()?
-            .iter()
-            .map(StreamAudit::from_json)
-            .collect::<smokescreen_rt::json::Result<Vec<_>>>()?;
-        Ok(RobustAudit {
-            schema: String::from_json(value.get("schema")?)?,
-            pr: value.get("pr")?.as_u64()?,
-            git_rev: String::from_json(value.get("git_rev")?)?,
-            smoke: value.get("smoke")?.as_bool()?,
-            trials: value.get("trials")?.as_usize()?,
-            frames: value.get("frames")?.as_usize()?,
-            delta: value.get("delta")?.as_f64()?,
-            strict_delta: value.get("strict_delta")?.as_f64()?,
-            drift_window: value.get("drift_window")?.as_usize()?,
-            drift_threshold: value.get("drift_threshold")?.as_f64()?,
-            cells,
-            streams,
-        })
+    check |audit: &RobustAudit| if audit.cells.is_empty() {
+        Err(JsonError::new("audit has no cells"))
+    } else {
+        Ok(())
     }
 }
 

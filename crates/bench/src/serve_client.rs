@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 
 use smokescreen_core::{Aggregate, Profile, ProfilePoint};
 use smokescreen_degrade::InterventionSet;
+use smokescreen_rt::json::Json;
 use smokescreen_rt::log::checksum64;
 use smokescreen_rt::pool::Pool;
 use smokescreen_serve::protocol::{read_frame, write_frame, FrameError};
@@ -302,6 +303,17 @@ enum Recv {
     Disconnected(String),
 }
 
+/// What a reply classifier made of one response.
+enum Verdict<T> {
+    /// The op is done.
+    Done(T),
+    /// Re-send the op; the message explains why if it gives up.
+    Retry(String),
+    /// Not an op-specific reply: retried if a [`retryable`] error, fatal
+    /// otherwise.
+    Other(Response),
+}
+
 /// Is this error response worth re-sending the same op for?
 fn retryable(code: ErrorCode) -> bool {
     matches!(
@@ -355,11 +367,6 @@ impl FaultClient {
         FaultClient::new(addr, client_camera(client), policy)
     }
 
-    fn next_op(&mut self) -> u64 {
-        self.ops += 1;
-        self.ops
-    }
-
     /// Connects (or reuses the live connection), sleeping briefly when
     /// the daemon refuses — the one place real time is spent, because a
     /// restarting supervisor generation genuinely is not there yet.
@@ -395,48 +402,82 @@ impl FaultClient {
 
     /// One framed exchange under a read deadline. Any outcome other than
     /// a parsed response drops the connection.
-    fn exchange(&mut self, frame: &smokescreen_rt::json::Json, deadline_ms: u64) -> Recv {
+    fn exchange(&mut self, frame: &Json, deadline_ms: u64) -> Recv {
         let conn = match self.connection() {
             Ok(c) => c,
             Err(e) => return Recv::Disconnected(e),
         };
-        if let Err(e) = conn.set_read_timeout(Some(Duration::from_millis(deadline_ms.max(1)))) {
-            self.conn = None;
-            return Recv::Disconnected(format!("set deadline: {e}"));
-        }
-        if let Err(e) = write_frame(conn, frame) {
-            self.conn = None;
-            return Recv::Disconnected(format!("send: {e}"));
-        }
-        match read_frame(conn) {
-            Ok(Some(json)) => match Response::from_json(&json) {
-                Ok(response) => Recv::Response(response),
-                Err(e) => {
-                    self.conn = None;
-                    Recv::Disconnected(format!("bad response frame: {e}"))
-                }
-            },
-            Ok(None) => {
-                self.conn = None;
-                Recv::Disconnected("server closed the connection".into())
+        let deadline = Some(Duration::from_millis(deadline_ms.max(1)));
+        let failed = if let Err(e) = conn.set_read_timeout(deadline) {
+            Recv::Disconnected(format!("set deadline: {e}"))
+        } else if let Err(e) = write_frame(conn, frame) {
+            Recv::Disconnected(format!("send: {e}"))
+        } else {
+            match read_frame(conn) {
+                Ok(Some(json)) => match Response::from_json(&json) {
+                    Ok(response) => return Recv::Response(response),
+                    Err(e) => Recv::Disconnected(format!("bad response frame: {e}")),
+                },
+                Ok(None) => Recv::Disconnected("server closed the connection".into()),
+                Err(FrameError::Idle) => Recv::TimedOut,
+                Err(e) => Recv::Disconnected(format!("frame error: {e:?}")),
             }
-            Err(FrameError::Idle) => {
-                self.conn = None;
-                Recv::TimedOut
-            }
-            Err(e) => {
-                self.conn = None;
-                Recv::Disconnected(format!("frame error: {e:?}"))
-            }
-        }
+        };
+        self.conn = None;
+        failed
     }
 
-    /// Charges simulated backoff for retry `attempt` of `rid`.
-    fn charge_backoff(&mut self, rid: u64, attempt: u32) {
-        if attempt > 0 {
-            self.stats.retries += 1;
-            self.stats.sim_backoff_ms += self.policy.backoff_ms(rid, attempt);
+    /// Runs one logical op through the retry schedule: stamps each
+    /// attempt's frame (from `frame`) with its rid, charges backoff, and
+    /// hands every response to `classify`. Error responses `classify`
+    /// passes back are retried when [`retryable`] and fatal otherwise.
+    /// With `hedge`, the first attempt waits only
+    /// [`RetryPolicy::hedge_after_ms`] and its timeout counts as a hedge.
+    fn attempts<T>(
+        &mut self,
+        what: &str,
+        hedge: bool,
+        mut frame: impl FnMut(&Self) -> Json,
+        mut classify: impl FnMut(&mut Self, Response) -> Result<Verdict<T>, String>,
+    ) -> Result<T, String> {
+        self.ops += 1;
+        let op = self.ops;
+        let mut last = String::new();
+        for attempt in 0..self.policy.max_attempts {
+            let rid = request_id(self.camera, op, attempt);
+            let frame = stamp_rid(frame(self), rid);
+            let hedged = hedge && attempt == 0;
+            let deadline =
+                if hedged { self.policy.hedge_after_ms } else { self.policy.read_deadline_ms };
+            self.stats.attempts += 1;
+            if attempt > 0 {
+                self.stats.retries += 1;
+                self.stats.sim_backoff_ms += self.policy.backoff_ms(rid, attempt);
+            }
+            last = match self.exchange(&frame, deadline) {
+                Recv::Response(response) => match classify(self, response)? {
+                    Verdict::Done(value) => return Ok(value),
+                    Verdict::Retry(why) => why,
+                    Verdict::Other(Response::Error { code, message }) if retryable(code) => {
+                        format!("{}: {message}", code.as_str())
+                    }
+                    Verdict::Other(Response::Error { code, message }) => {
+                        return Err(format!("{what}: fatal {} error: {message}", code.as_str()))
+                    }
+                    Verdict::Other(other) => {
+                        return Err(format!("{what}: unexpected response {other:?}"))
+                    }
+                },
+                Recv::TimedOut => {
+                    if hedged {
+                        self.stats.hedged_gets += 1;
+                    }
+                    "read deadline elapsed".into()
+                }
+                Recv::Disconnected(e) => e,
+            };
         }
+        Err(format!("{what} gave up after {} attempts: {last}", self.policy.max_attempts))
     }
 
     /// Idempotent durable write. Returns the acked sequence number; a
@@ -447,113 +488,59 @@ impl FaultClient {
             let seq = self.get(key)?.map_or(0, |reply| reply.seq);
             self.shadow.insert(key, seq);
         }
-        let op = self.next_op();
-        let mut last = String::new();
-        for attempt in 0..self.policy.max_attempts {
-            let expected = self.shadow[&key] + 1;
-            let rid = request_id(self.camera, op, attempt);
-            let frame = stamp_rid(
-                &Request::PutProfile {
+        let expected = |client: &Self| client.shadow[&key] + 1;
+        self.attempts(
+            "put",
+            false,
+            |client| {
+                Request::PutProfile {
                     key,
                     profile: profile.clone(),
-                    expected_seq: Some(expected),
+                    expected_seq: Some(expected(client)),
                 }
-                .to_json(),
-                rid,
-            );
-            self.stats.attempts += 1;
-            self.charge_backoff(rid, attempt);
-            match self.exchange(&frame, self.policy.read_deadline_ms) {
-                Recv::Response(Response::Ok { seq }) => {
-                    self.shadow.insert(key, seq.max(expected));
-                    return Ok(seq);
-                }
-                Recv::Response(Response::Error { code, message }) => match code {
+                .to_json()
+            },
+            |client, response| {
+                Ok(match response {
+                    Response::Ok { seq } => {
+                        let floor = expected(client);
+                        client.shadow.insert(key, seq.max(floor));
+                        Verdict::Done(seq)
+                    }
                     // `expected_seq` disagreed with the store (e.g. the
                     // key advanced underneath a restart): resync the
                     // shadow and re-derive, same op.
-                    ErrorCode::BadRequest => {
-                        let seq = self.get(key)?.map_or(0, |reply| reply.seq);
-                        self.shadow.insert(key, seq);
-                        last = message;
+                    Response::Error { code: ErrorCode::BadRequest, message } => {
+                        let seq = client.get(key)?.map_or(0, |reply| reply.seq);
+                        client.shadow.insert(key, seq);
+                        Verdict::Retry(message)
                     }
-                    code if retryable(code) => last = format!("{}: {message}", code.as_str()),
-                    code => {
-                        return Err(format!("put: fatal {} error: {message}", code.as_str()))
-                    }
-                },
-                Recv::Response(other) => {
-                    return Err(format!("put: unexpected response {other:?}"))
-                }
-                Recv::TimedOut => last = "read deadline elapsed".into(),
-                Recv::Disconnected(e) => last = e,
-            }
-        }
-        Err(format!(
-            "put gave up after {} attempts: {last}",
-            self.policy.max_attempts
-        ))
+                    other => Verdict::Other(other),
+                })
+            },
+        )
     }
 
     /// Hedged read. `Ok(None)` means the key has no record.
     pub fn get(&mut self, key: StoreKey) -> Result<Option<GetReply>, String> {
-        let op = self.next_op();
-        let mut last = String::new();
-        for attempt in 0..self.policy.max_attempts {
-            let rid = request_id(self.camera, op, attempt);
-            let frame = stamp_rid(&Request::GetProfile { key }.to_json(), rid);
-            let deadline = if attempt == 0 {
-                self.policy.hedge_after_ms
-            } else {
-                self.policy.read_deadline_ms
-            };
-            self.stats.attempts += 1;
-            self.charge_backoff(rid, attempt);
-            match self.exchange(&frame, deadline) {
-                Recv::Response(Response::Profile {
-                    seq,
-                    profile,
-                    stale,
-                    degraded,
-                    ..
-                }) => {
-                    self.shadow.insert(key, seq);
-                    return Ok(Some(GetReply {
-                        seq,
-                        profile,
-                        stale,
-                        degraded,
-                    }));
-                }
-                Recv::Response(Response::Error {
-                    code: ErrorCode::NotFound,
-                    ..
-                }) => {
-                    self.shadow.insert(key, 0);
-                    return Ok(None);
-                }
-                Recv::Response(Response::Error { code, message }) if retryable(code) => {
-                    last = format!("{}: {message}", code.as_str());
-                }
-                Recv::Response(Response::Error { code, message }) => {
-                    return Err(format!("get: fatal {} error: {message}", code.as_str()));
-                }
-                Recv::Response(other) => {
-                    return Err(format!("get: unexpected response {other:?}"))
-                }
-                Recv::TimedOut => {
-                    if attempt == 0 {
-                        self.stats.hedged_gets += 1;
+        self.attempts(
+            "get",
+            true,
+            |_| Request::GetProfile { key }.to_json(),
+            |client, response| {
+                Ok(match response {
+                    Response::Profile { seq, profile, stale, degraded, .. } => {
+                        client.shadow.insert(key, seq);
+                        Verdict::Done(Some(GetReply { seq, profile, stale, degraded }))
                     }
-                    last = "read deadline elapsed".into();
-                }
-                Recv::Disconnected(e) => last = e,
-            }
-        }
-        Err(format!(
-            "get gave up after {} attempts: {last}",
-            self.policy.max_attempts
-        ))
+                    Response::Error { code: ErrorCode::NotFound, .. } => {
+                        client.shadow.insert(key, 0);
+                        Verdict::Done(None)
+                    }
+                    other => Verdict::Other(other),
+                })
+            },
+        )
     }
 
     /// Retried tradeoff query. `Ok(None)` means the key has no record.
@@ -565,46 +552,20 @@ impl FaultClient {
         max_bytes: Option<u64>,
         max_energy_j: Option<f64>,
     ) -> Result<Option<Vec<ProfilePoint>>, String> {
-        let op = self.next_op();
-        let mut last = String::new();
-        for attempt in 0..self.policy.max_attempts {
-            let rid = request_id(self.camera, op, attempt);
-            let frame = stamp_rid(
-                &Request::QueryTradeoff {
-                    key,
-                    max_err,
-                    max_fraction,
-                    max_bytes,
-                    max_energy_j,
-                }
-                .to_json(),
-                rid,
-            );
-            self.stats.attempts += 1;
-            self.charge_backoff(rid, attempt);
-            match self.exchange(&frame, self.policy.read_deadline_ms) {
-                Recv::Response(Response::Tradeoff { matches }) => return Ok(Some(matches)),
-                Recv::Response(Response::Error {
-                    code: ErrorCode::NotFound,
-                    ..
-                }) => return Ok(None),
-                Recv::Response(Response::Error { code, message }) if retryable(code) => {
-                    last = format!("{}: {message}", code.as_str());
-                }
-                Recv::Response(Response::Error { code, message }) => {
-                    return Err(format!("query: fatal {} error: {message}", code.as_str()));
-                }
-                Recv::Response(other) => {
-                    return Err(format!("query: unexpected response {other:?}"))
-                }
-                Recv::TimedOut => last = "read deadline elapsed".into(),
-                Recv::Disconnected(e) => last = e,
-            }
-        }
-        Err(format!(
-            "query gave up after {} attempts: {last}",
-            self.policy.max_attempts
-        ))
+        let request =
+            Request::QueryTradeoff { key, max_err, max_fraction, max_bytes, max_energy_j };
+        self.attempts(
+            "query",
+            false,
+            |_| request.to_json(),
+            |_, response| {
+                Ok(match response {
+                    Response::Tradeoff { matches } => Verdict::Done(Some(matches)),
+                    Response::Error { code: ErrorCode::NotFound, .. } => Verdict::Done(None),
+                    other => Verdict::Other(other),
+                })
+            },
+        )
     }
 
     /// The last sequence number this client observed for `key` (acked
@@ -746,50 +707,32 @@ fn run_client_plain(config: &LoadConfig, client: usize, requests: usize) -> Clie
         let response = conn.request(&request);
         latencies_us.push(t0.elapsed().as_secs_f64() * 1e6);
         report.requests += 1;
-        match response {
-            Ok(Response::Ok { .. }) => report.puts += 1,
-            Ok(Response::Profile { .. }) => report.gets += 1,
-            Ok(Response::Tradeoff { .. }) => report.queries += 1,
-            Ok(Response::Error {
-                code: ErrorCode::NotFound,
-                ..
-            }) => report.not_found += 1,
-            Ok(Response::Error { code, message }) => {
-                report.errors += 1;
-                return ClientOutcome {
-                    report,
-                    latencies_us,
-                    failure: Some(format!(
-                        "client {client} step {step}: {} error: {message}",
-                        code.as_str()
-                    )),
-                };
+        let problem = match response {
+            Ok(Response::Ok { .. }) => {
+                report.puts += 1;
+                continue;
             }
-            Ok(other) => {
-                report.errors += 1;
-                return ClientOutcome {
-                    report,
-                    latencies_us,
-                    failure: Some(format!(
-                        "client {client} step {step}: unexpected response {other:?}"
-                    )),
-                };
+            Ok(Response::Profile { .. }) => {
+                report.gets += 1;
+                continue;
             }
-            Err(e) => {
-                report.errors += 1;
-                return ClientOutcome {
-                    report,
-                    latencies_us,
-                    failure: Some(format!("client {client} step {step}: {e}")),
-                };
+            Ok(Response::Tradeoff { .. }) => {
+                report.queries += 1;
+                continue;
             }
-        }
+            Ok(Response::Error { code: ErrorCode::NotFound, .. }) => {
+                report.not_found += 1;
+                continue;
+            }
+            Ok(Response::Error { code, message }) => format!("{} error: {message}", code.as_str()),
+            Ok(other) => format!("unexpected response {other:?}"),
+            Err(e) => e,
+        };
+        report.errors += 1;
+        let failure = Some(format!("client {client} step {step}: {problem}"));
+        return ClientOutcome { report, latencies_us, failure };
     }
-    ClientOutcome {
-        report,
-        latencies_us,
-        failure: None,
-    }
+    ClientOutcome { report, latencies_us, failure: None }
 }
 
 /// Nearest-rank percentile over a sorted slice.

@@ -33,6 +33,7 @@ use smokescreen_degrade::{
 use smokescreen_models::{Detections, Detector, OutputCache, SimYoloV4};
 use smokescreen_rt::bench::{bench_repeated, RepeatedMeasurement};
 use smokescreen_rt::json::{FromJson, Json, JsonError, ToJson};
+use smokescreen_rt::json_codec;
 use smokescreen_serve::{ServeAddr, Server, ServerConfig};
 use smokescreen_video::synth::DatasetPreset;
 use smokescreen_video::{Frame, ObjectClass, Resolution, VideoCorpus};
@@ -181,46 +182,13 @@ impl BenchResult {
     }
 }
 
-impl ToJson for BenchResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("reps", self.reps.to_json()),
-            ("median_wall_ms", self.median_wall_ms.to_json()),
-            ("p95_wall_ms", self.p95_wall_ms.to_json()),
-            ("min_wall_ms", self.min_wall_ms.to_json()),
-            ("throughput_per_s", self.throughput_per_s.to_json()),
-            ("throughput_unit", self.throughput_unit.to_json()),
-            ("model_runs", self.model_runs.to_json()),
-            ("alloc_count", self.alloc_count.to_json()),
-            ("alloc_bytes", self.alloc_bytes.to_json()),
-        ])
-    }
-}
-
-impl FromJson for BenchResult {
-    fn from_json(value: &Json) -> smokescreen_rt::json::Result<Self> {
-        Ok(BenchResult {
-            name: String::from_json(value.get("name")?)?,
-            reps: value.get("reps")?.as_usize()?,
-            median_wall_ms: value.get("median_wall_ms")?.as_f64()?,
-            p95_wall_ms: value.get("p95_wall_ms")?.as_f64()?,
-            min_wall_ms: value.get("min_wall_ms")?.as_f64()?,
-            throughput_per_s: value.get("throughput_per_s")?.as_f64()?,
-            throughput_unit: String::from_json(value.get("throughput_unit")?)?,
-            model_runs: value.get("model_runs")?.as_usize()?,
-            // Absent in `/1` files: the counting-allocator hook postdates
-            // them, and "unrecorded" is indistinguishable from zero for
-            // gating purposes (the threshold only fires on growth).
-            alloc_count: match value.get_opt("alloc_count") {
-                Some(v) => v.as_u64()?,
-                None => 0,
-            },
-            alloc_bytes: match value.get_opt("alloc_bytes") {
-                Some(v) => v.as_u64()?,
-                None => 0,
-            },
-        })
+// `alloc_count`/`alloc_bytes` are absent in `/1` files: the counting-
+// allocator hook postdates them, and "unrecorded" is indistinguishable
+// from zero for gating purposes (the threshold only fires on growth).
+json_codec! {
+    BenchResult {
+        name, reps, median_wall_ms, p95_wall_ms, min_wall_ms, throughput_per_s, throughput_unit,
+        model_runs, alloc_count = 0, alloc_bytes = 0,
     }
 }
 
@@ -270,39 +238,15 @@ impl Derived {
     }
 }
 
-impl ToJson for Derived {
-    fn to_json(&self) -> Json {
-        Json::Obj(
-            self.entries()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v.to_json()))
-                .collect(),
-        )
-    }
-}
-
-impl FromJson for Derived {
-    fn from_json(value: &Json) -> smokescreen_rt::json::Result<Self> {
-        // Any ratio a file predates (8w/16w in `/1` files, the MEDIAN
-        // sweep before it was recorded) loads as 0, which `compare` treats
-        // as "no prior value" (a zero `pv` yields a zero delta), so a run
-        // never regresses against a ratio its baseline never measured.
-        let get = |key: &str| -> smokescreen_rt::json::Result<f64> {
-            match value.get_opt(key) {
-                Some(v) => v.as_f64(),
-                None => Ok(0.0),
-            }
-        };
-        Ok(Derived {
-            parallel_speedup_4w: get("parallel_speedup_4w")?,
-            parallel_speedup_8w: get("parallel_speedup_8w")?,
-            parallel_speedup_16w: get("parallel_speedup_16w")?,
-            ingest_speedup_avg: get("ingest_speedup_avg")?,
-            ingest_speedup_max: get("ingest_speedup_max")?,
-            ingest_speedup_median: get("ingest_speedup_median")?,
-            sweep_speedup_max: get("sweep_speedup_max")?,
-            sweep_speedup_median: get("sweep_speedup_median")?,
-        })
+// Any ratio a file predates (8w/16w in `/1` files, the MEDIAN sweep before
+// it was recorded) loads as 0, which `compare` treats as "no prior value"
+// (a zero `pv` yields a zero delta), so a run never regresses against a
+// ratio its baseline never measured.
+json_codec! {
+    Derived {
+        parallel_speedup_4w = 0.0, parallel_speedup_8w = 0.0, parallel_speedup_16w = 0.0,
+        ingest_speedup_avg = 0.0, ingest_speedup_max = 0.0, ingest_speedup_median = 0.0,
+        sweep_speedup_max = 0.0, sweep_speedup_median = 0.0,
     }
 }
 
@@ -360,47 +304,12 @@ impl Trajectory {
     }
 }
 
-impl ToJson for Trajectory {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema", self.schema.to_json()),
-            ("pr", self.pr.to_json()),
-            ("git_rev", self.git_rev.to_json()),
-            ("threads", self.threads.to_json()),
-            ("corpus", self.corpus.to_json()),
-            ("corpus_frames", self.corpus_frames.to_json()),
-            ("smoke", self.smoke.to_json()),
-            (
-                "benches",
-                Json::Arr(self.benches.iter().map(ToJson::to_json).collect()),
-            ),
-            ("derived", self.derived.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Trajectory {
-    fn from_json(value: &Json) -> smokescreen_rt::json::Result<Self> {
-        let benches = value
-            .get("benches")?
-            .as_arr()?
-            .iter()
-            .map(BenchResult::from_json)
-            .collect::<smokescreen_rt::json::Result<Vec<_>>>()?;
-        if benches.is_empty() {
-            return Err(JsonError::new("trajectory has no benches"));
-        }
-        Ok(Trajectory {
-            schema: String::from_json(value.get("schema")?)?,
-            pr: value.get("pr")?.as_u64()?,
-            git_rev: String::from_json(value.get("git_rev")?)?,
-            threads: value.get("threads")?.as_usize()?,
-            corpus: String::from_json(value.get("corpus")?)?,
-            corpus_frames: value.get("corpus_frames")?.as_usize()?,
-            smoke: value.get("smoke")?.as_bool()?,
-            benches,
-            derived: Derived::from_json(value.get("derived")?)?,
-        })
+json_codec! {
+    Trajectory { schema, pr, git_rev, threads, corpus, corpus_frames, smoke, benches, derived }
+    check |t: &Trajectory| if t.benches.is_empty() {
+        Err(JsonError::new("trajectory has no benches"))
+    } else {
+        Ok(())
     }
 }
 
@@ -631,6 +540,51 @@ pub fn schema_of(value: &Json) -> Json {
                 .collect(),
         ),
     }
+}
+
+/// Checks `value`'s [`schema_of`] against the schema golden at `path` (the
+/// `--schema-golden` flag); `bless` names the test that regenerates it.
+pub fn check_schema_golden(value: &Json, path: &Path, bless: &str) -> Result<(), String> {
+    let golden = fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
+        .map_err(|e| format!("{}: {e}", path.display()))?;
+    let actual = schema_of(value);
+    if actual == golden {
+        return Ok(());
+    }
+    Err(format!(
+        "schema drift vs {} — regen with UPDATE_GOLDEN=1 cargo test -p smokescreen --test \
+         {bless}\nactual: {}",
+        path.display(),
+        actual.encode_pretty()
+    ))
+}
+
+/// Golden-file assertion for the test suites: with `UPDATE_GOLDEN` set it
+/// writes `encoded` to `path`; otherwise it panics unless the file holds
+/// exactly `encoded`. `bless` names the test that regenerates the file.
+pub fn assert_golden(path: &Path, encoded: &str, bless: &str) {
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let dir = path.parent().expect("golden path has a directory");
+        fs::create_dir_all(dir).expect("golden directory is creatable");
+        fs::write(path, encoded).expect("golden file is writable");
+        println!("blessed {}", path.display());
+        return;
+    }
+    let golden = fs::read_to_string(path).unwrap_or_else(|e| {
+        let path = path.display();
+        panic!("{path}: {e}\nrun UPDATE_GOLDEN=1 cargo test --test {bless} to create it")
+    });
+    // Parsed first, for a readable diff; then byte for byte, because the
+    // golden is stored as the canonical encoding.
+    assert_eq!(
+        Json::parse(&golden).expect("golden parses"),
+        Json::parse(encoded).expect("encoding parses"),
+        "{} drifted — if intentional, regen with UPDATE_GOLDEN=1 cargo test --test {bless}",
+        path.display()
+    );
+    assert_eq!(golden, encoded, "{} is not the canonical encoding", path.display());
 }
 
 /// A detector with a simulated fixed per-inference latency, standing in
@@ -1116,6 +1070,9 @@ mod tests {
         assert_eq!(t, back);
         // Deterministic encoding: same value, same bytes.
         assert_eq!(json.encode_pretty(), back.to_json().encode_pretty());
+        let empty = Trajectory { benches: vec![], ..t };
+        let err = Trajectory::from_json(&empty.to_json()).unwrap_err();
+        assert!(err.to_string().contains("no benches"), "{err}");
     }
 
     #[test]

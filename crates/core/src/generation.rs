@@ -269,18 +269,27 @@ struct CellOutput {
 /// Measured timings (`ingest_ns`/`bound_ns`) are deliberately excluded:
 /// they vary run to run, and journal bytes must not. A spliced cell
 /// contributes zero to the timing totals, which only ever describe the
-/// current process's work.
-struct CellRecord;
+/// current process's work. The field names are the journal keys.
+struct CellRecord {
+    cell: usize,
+    points: Vec<ProfilePoint>,
+    skipped: usize,
+    frames_lost: usize,
+    quarantined: Option<String>,
+}
+
+smokescreen_rt::json_codec! { CellRecord { cell, points, skipped, frames_lost, quarantined } }
 
 impl CellRecord {
     fn encode(cell: usize, out: &CellOutput) -> Vec<u8> {
-        Json::obj([
-            ("cell", cell.to_json()),
-            ("points", out.points.to_json()),
-            ("skipped", out.skipped_by_early_stop.to_json()),
-            ("frames_lost", out.frames_lost.to_json()),
-            ("quarantined", out.quarantined.to_json()),
-        ])
+        CellRecord {
+            cell,
+            points: out.points.clone(),
+            skipped: out.skipped_by_early_stop,
+            frames_lost: out.frames_lost,
+            quarantined: out.quarantined.clone(),
+        }
+        .to_json()
         .encode()
         .into_bytes()
     }
@@ -290,17 +299,13 @@ impl CellRecord {
     /// exactly like a checksum mismatch: quarantine and recompute.
     fn decode(cell: u32, bytes: &[u8]) -> Option<CellOutput> {
         let text = std::str::from_utf8(bytes).ok()?;
-        let v = Json::parse(text).ok()?;
-        if v.get("cell").ok()?.as_usize().ok()? != cell as usize {
-            return None;
-        }
-        Some(CellOutput {
-            points: Vec::<ProfilePoint>::from_json(v.get("points").ok()?).ok()?,
-            skipped_by_early_stop: v.get("skipped").ok()?.as_usize().ok()?,
-            frames_lost: v.get("frames_lost").ok()?.as_usize().ok()?,
-            quarantined: Option::<String>::from_json(v.get("quarantined").ok()?).ok()?,
-            ingest_ns: 0,
-            bound_ns: 0,
+        let record = CellRecord::from_json(&Json::parse(text).ok()?).ok()?;
+        (record.cell == cell as usize).then(|| CellOutput {
+            points: record.points,
+            skipped_by_early_stop: record.skipped,
+            frames_lost: record.frames_lost,
+            quarantined: record.quarantined,
+            ..CellOutput::default()
         })
     }
 }
@@ -503,6 +508,7 @@ impl<'a> ProfileGenerator<'a> {
                     .expect("replay already validated payloads")
             })
             .collect();
+        let journaled = writer.is_some();
         let committer = Committer::new(
             writer,
             resumed.len(),
@@ -520,7 +526,9 @@ impl<'a> ProfileGenerator<'a> {
             }
             match self.profile_cell(grid, resolution, combo, correction, &cache) {
                 Ok(out) => {
-                    committer.offer(i, Some(CellRecord::encode(i, &out)));
+                    // Without a journal the payload is never written.
+                    let payload = journaled.then(|| CellRecord::encode(i, &out));
+                    committer.offer(i, Some(payload.unwrap_or_default()));
                     Ok(Some(out))
                 }
                 Err(e) => {

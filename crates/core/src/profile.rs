@@ -207,76 +207,47 @@ impl Profile {
     }
 }
 
-impl ToJson for ProfilePoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("set", self.set.to_json()),
-            ("y_approx", self.y_approx.to_json()),
-            ("err_b", self.err_b.to_json()),
-            ("corrected", self.corrected.to_json()),
-            ("n", self.n.to_json()),
-        ])
-    }
+smokescreen_rt::json_codec! {
+    ProfilePoint { set, y_approx, err_b, corrected, n }
+    check ProfilePoint::check_stored
 }
 
-impl FromJson for ProfilePoint {
-    fn from_json(value: &Json) -> smokescreen_rt::json::Result<Self> {
-        // Defense in depth for corrupted artifacts (this codec also runs
-        // under journal replay): a point carrying a non-finite answer or
-        // a nonsensical bound was damaged in storage, not produced by the
-        // generator — reject it rather than let it poison downstream
-        // tradeoff selection.
-        let y_approx = f64::from_json(value.get("y_approx")?)?;
-        if !y_approx.is_finite() {
+impl ProfilePoint {
+    /// Defense in depth for corrupted artifacts (this codec also runs
+    /// under journal replay): a point carrying a non-finite answer or a
+    /// nonsensical bound was damaged in storage, not produced by the
+    /// generator — reject it rather than let it poison downstream
+    /// tradeoff selection.
+    fn check_stored(&self) -> smokescreen_rt::json::Result<()> {
+        if !self.y_approx.is_finite() {
             return Err(JsonError::new("profile point y_approx is not finite"));
         }
-        let err_b = f64::from_json(value.get("err_b")?)?;
+        let err_b = self.err_b;
         if !err_b.is_finite() || err_b < 0.0 {
             return Err(JsonError::new(format!(
                 "profile point err_b {err_b} is not a valid bound"
             )));
         }
-        Ok(ProfilePoint {
-            set: InterventionSet::from_json(value.get("set")?)?,
-            y_approx,
-            err_b,
-            corrected: bool::from_json(value.get("corrected")?)?,
-            n: usize::from_json(value.get("n")?)?,
-        })
+        Ok(())
     }
 }
 
-impl ToJson for Profile {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("corpus", self.corpus.to_json()),
-            ("model", self.model.to_json()),
-            ("class", self.class.to_json()),
-            ("aggregate", self.aggregate.to_json()),
-            ("delta", self.delta.to_json()),
-            ("points", self.points.to_json()),
-        ])
-    }
+smokescreen_rt::json_codec! {
+    Profile { corpus, model, class, aggregate, delta, points }
+    check Profile::check_stored
 }
 
-impl FromJson for Profile {
-    fn from_json(value: &Json) -> smokescreen_rt::json::Result<Self> {
-        let delta = f64::from_json(value.get("delta")?)?;
-        // δ is a confidence parameter: (0, 1) exclusive. Anything else in
-        // a stored profile is corruption.
+impl Profile {
+    /// δ is a confidence parameter: (0, 1) exclusive. Anything else in a
+    /// stored profile is corruption.
+    fn check_stored(&self) -> smokescreen_rt::json::Result<()> {
+        let delta = self.delta;
         if !delta.is_finite() || delta <= 0.0 || delta >= 1.0 {
             return Err(JsonError::new(format!(
                 "profile delta {delta} is not a confidence parameter in (0, 1)"
             )));
         }
-        Ok(Profile {
-            corpus: String::from_json(value.get("corpus")?)?,
-            model: String::from_json(value.get("model")?)?,
-            class: ObjectClass::from_json(value.get("class")?)?,
-            aggregate: Aggregate::from_json(value.get("aggregate")?)?,
-            delta,
-            points: Vec::from_json(value.get("points")?)?,
-        })
+        Ok(())
     }
 }
 

@@ -1,6 +1,6 @@
 //! Intervention sets: the paper's `(f, p, c)` knobs plus extensions.
 
-use smokescreen_rt::json::{FromJson, Json, ToJson};
+use smokescreen_rt::json::JsonError;
 use smokescreen_video::codec::Quality;
 use smokescreen_video::{ObjectClass, Resolution};
 
@@ -172,44 +172,26 @@ impl InterventionSet {
     }
 }
 
-impl ToJson for InterventionSet {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("sample_fraction", self.sample_fraction.to_json()),
-            ("resolution", self.resolution.to_json()),
-            ("restricted", self.restricted.to_json()),
-            ("blurred", self.blurred.to_json()),
-            ("noise", self.noise.to_json()),
-            ("quality", self.quality.to_json()),
-        ])
-    }
+smokescreen_rt::json_codec! {
+    InterventionSet { sample_fraction, resolution, restricted, blurred, noise, quality }
+    check InterventionSet::check_stored
 }
 
-impl FromJson for InterventionSet {
-    fn from_json(value: &Json) -> smokescreen_rt::json::Result<Self> {
-        // Stored artifacts only ever contain fractions in [0, 1] and
-        // non-negative finite noise; anything else is storage corruption
-        // and must be rejected, not carried into view construction.
-        let sample_fraction = f64::from_json(value.get("sample_fraction")?)?;
-        if !sample_fraction.is_finite() || !(0.0..=1.0).contains(&sample_fraction) {
-            return Err(smokescreen_rt::json::JsonError::new(format!(
-                "sample_fraction {sample_fraction} is not in [0, 1]"
-            )));
+impl InterventionSet {
+    /// Stored artifacts only ever contain fractions in [0, 1] and
+    /// non-negative finite noise; anything else is storage corruption and
+    /// must be rejected, not carried into view construction.
+    fn check_stored(&self) -> smokescreen_rt::json::Result<()> {
+        let (f, noise) = (self.sample_fraction, self.noise);
+        if !f.is_finite() || !(0.0..=1.0).contains(&f) {
+            return Err(JsonError::new(format!("sample_fraction {f} is not in [0, 1]")));
         }
-        let noise = f64::from_json(value.get("noise")?)?;
         if !noise.is_finite() || noise < 0.0 {
-            return Err(smokescreen_rt::json::JsonError::new(format!(
+            return Err(JsonError::new(format!(
                 "noise {noise} is not a non-negative finite value"
             )));
         }
-        Ok(InterventionSet {
-            sample_fraction,
-            resolution: Option::from_json(value.get("resolution")?)?,
-            restricted: Vec::from_json(value.get("restricted")?)?,
-            blurred: Vec::from_json(value.get("blurred")?)?,
-            noise,
-            quality: Option::from_json(value.get("quality")?)?,
-        })
+        Ok(())
     }
 }
 

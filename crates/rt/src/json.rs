@@ -2,13 +2,15 @@
 //! `serde`/`serde_json` dependency for the handful of artifacts the system
 //! actually serializes (degradation profiles, bench result files).
 //!
-//! Types opt in by implementing [`ToJson`]/[`FromJson`] by hand — there is
-//! no derive machinery, which keeps the surface auditable and the build
-//! hermetic. Numbers are `f64` (like JSON itself); integers round-trip
-//! exactly up to 2^53, far beyond any counter in this codebase.
+//! Records and tagged enums declare their JSON shape once with
+//! [`json_codec!`](crate::json_codec), which implements both [`ToJson`]
+//! and [`FromJson`] from one field list; scalars, containers and the few
+//! enums with custom shapes implement the traits by hand. Numbers are
+//! `f64` (like JSON itself); integers round-trip exactly up to 2^53, far
+//! beyond any counter in this codebase.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,6 +40,11 @@ impl JsonError {
     /// Creates an error with the given message.
     pub fn new(msg: impl Into<String>) -> Self {
         JsonError { msg: msg.into() }
+    }
+
+    /// The same error, prefixed with the object key it occurred under.
+    pub fn within(self, key: &str) -> Self {
+        JsonError::new(format!("{key}: {}", self.msg))
     }
 }
 
@@ -100,11 +107,6 @@ impl Json {
         } else {
             Err(JsonError::new(format!("expected unsigned integer, got {n}")))
         }
-    }
-
-    /// The value as a `usize` (exact).
-    pub fn as_usize(&self) -> Result<usize> {
-        Ok(self.as_u64()? as usize)
     }
 
     /// The value as a bool.
@@ -248,10 +250,10 @@ fn write_number(out: &mut String, n: f64) {
         // JSON has no NaN/Inf; encode as null like serde_json's lossy mode.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
         // `{}` on f64 is the shortest representation that round-trips.
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
@@ -267,7 +269,7 @@ fn write_string(out: &mut String, s: &str) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0C}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -470,17 +472,24 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input came from &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::new("invalid utf-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty checked above");
-                    if (c as u32) < 0x20 {
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one slice. The input came from a
+                    // `&str` and every stop byte is ASCII, so the run ends
+                    // on a char boundary.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    if self.pos == start {
                         return Err(JsonError::new("unescaped control character in string"));
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .map_err(|_| JsonError::new("invalid utf-8 in string"))?,
+                    );
                 }
             }
         }
@@ -636,6 +645,199 @@ impl<T: FromJson> FromJson for Option<T> {
     }
 }
 
+impl<T: ToJson> ToJson for Box<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().to_json()
+    }
+}
+
+impl<T: FromJson> FromJson for Box<T> {
+    fn from_json(value: &Json) -> Result<Box<T>> {
+        T::from_json(value).map(Box::new)
+    }
+}
+
+/// Moves the members of `value`, which must encode as an object, into
+/// `map`: the encoding of a `[flatten]` field in [`json_codec!`].
+#[doc(hidden)]
+pub fn flatten_into(map: &mut BTreeMap<String, Json>, value: Json) {
+    match value {
+        Json::Obj(members) => map.extend(members),
+        other => unreachable!("a flattened field encodes as an object, got {}", other.kind()),
+    }
+}
+
+/// Declares the JSON shape of a record or of a tagged enum once and
+/// implements both [`ToJson`] and [`FromJson`] from it.
+///
+/// A record lists its fields; each field's wire key is its name:
+///
+/// ```
+/// # use smokescreen_rt::json::{FromJson, Json, JsonError, ToJson};
+/// #[derive(Debug, PartialEq)]
+/// struct Point { x: f64, label: Option<String>, hits: u64 }
+///
+/// smokescreen_rt::json_codec! {
+///     Point { x, label = None, hits = 0 }
+///     check |p: &Point| match p.x.is_finite() {
+///         true => Ok(()),
+///         false => Err(JsonError::new("x is not finite")),
+///     }
+/// }
+///
+/// let p = Point::from_json(&Json::parse(r#"{"x": 1.5}"#).unwrap()).unwrap();
+/// assert_eq!(p, Point { x: 1.5, label: None, hits: 0 });
+/// assert_eq!(p.to_json().encode(), r#"{"hits":0,"label":null,"x":1.5}"#);
+/// ```
+///
+/// Per field:
+/// * `name` — the key must be present;
+/// * `name = default` — a missing key decodes as `default` (for an
+///   `Option` field `= None` also takes `null`; `None` encodes as `null`);
+/// * `name [with module]` — `module::to_json(&T) -> Json` and
+///   `module::from_json(&Json) -> Result<T>` encode the value;
+/// * `name [flatten]` — the value's object members sit beside the
+///   record's own keys, and it decodes from the whole object.
+///
+/// Decode errors under a key are prefixed with it. The optional `check`
+/// (any `Fn(&Self) -> Result<()>`) runs on the decoded value and rejects
+/// out-of-range fields.
+///
+/// An enum is internally tagged: `enum Type tag "key" { ... }` lists
+/// each variant with its wire name and its fields in braces (`{}` for a
+/// unit variant), or `(flatten)` for a one-field tuple variant whose
+/// object members sit beside the tag. An unknown tag is rejected as
+/// `unknown <key> "<name>"`.
+#[macro_export]
+macro_rules! json_codec {
+    (
+        enum $ty:ident tag $tag:literal {
+            $($variant:ident $wire:literal $body:tt),* $(,)?
+        }
+        $(check $check:expr)?
+    ) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                let mut map = ::std::collections::BTreeMap::new();
+                let wire: &str = match self {
+                    $($crate::json_codec!(@pat $variant $body inner) => {
+                        $crate::json_codec!(@put_variant map $body inner);
+                        $wire
+                    })*
+                };
+                map.insert(
+                    ::std::string::String::from($tag),
+                    $crate::json::Json::Str(::std::string::String::from(wire)),
+                );
+                $crate::json::Json::Obj(map)
+            }
+        }
+
+        impl $crate::json::FromJson for $ty {
+            fn from_json(value: &$crate::json::Json) -> $crate::json::Result<Self> {
+                let decoded = match value.get($tag)?.as_str().map_err(|e| e.within($tag))? {
+                    $($wire => $crate::json_codec!(@build value $variant $body),)*
+                    other => {
+                        return Err($crate::json::JsonError::new(::std::format!(
+                            "unknown {} {other:?}",
+                            $tag
+                        )))
+                    }
+                };
+                $(($check)(&decoded)?;)?
+                Ok(decoded)
+            }
+        }
+    };
+    (
+        $ty:ident { $($field:ident $([$($codec:tt)*])? $(= $default:expr)?),* $(,)? }
+        $(check $check:expr)?
+    ) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                let mut map = ::std::collections::BTreeMap::new();
+                $($crate::json_codec!(@put map, $field, &self.$field, [$($($codec)*)?]);)*
+                $crate::json::Json::Obj(map)
+            }
+        }
+
+        impl $crate::json::FromJson for $ty {
+            fn from_json(value: &$crate::json::Json) -> $crate::json::Result<Self> {
+                let decoded = $ty {
+                    $($field: $crate::json_codec!(
+                        @take value, $field, [$($($codec)*)?] $(, $default)?
+                    ),)*
+                };
+                $(($check)(&decoded)?;)?
+                Ok(decoded)
+            }
+        }
+    };
+
+    // One field into the object `map`.
+    (@put $map:ident, $field:ident, $v:expr, []) => {
+        $map.insert(
+            ::std::string::String::from(::core::stringify!($field)),
+            $crate::json::ToJson::to_json($v),
+        );
+    };
+    (@put $map:ident, $field:ident, $v:expr, [with $codec:ident]) => {
+        $map.insert(::std::string::String::from(::core::stringify!($field)), $codec::to_json($v));
+    };
+    (@put $map:ident, $field:ident, $v:expr, [flatten]) => {
+        $crate::json::flatten_into(&mut $map, $crate::json::ToJson::to_json($v));
+    };
+
+    // One field out of the object `value`.
+    (@take $value:ident, $field:ident, []) => {
+        $crate::json::FromJson::from_json($value.get(::core::stringify!($field))?)
+            .map_err(|e| e.within(::core::stringify!($field)))?
+    };
+    (@take $value:ident, $field:ident, [], $default:expr) => {
+        match $value.get_opt(::core::stringify!($field)) {
+            Some(v) => $crate::json::FromJson::from_json(v)
+                .map_err(|e| e.within(::core::stringify!($field)))?,
+            None => $default,
+        }
+    };
+    (@take $value:ident, $field:ident, [with $codec:ident]) => {
+        $codec::from_json($value.get(::core::stringify!($field))?)
+            .map_err(|e| e.within(::core::stringify!($field)))?
+    };
+    (@take $value:ident, $field:ident, [flatten]) => {
+        $crate::json::FromJson::from_json($value)?
+    };
+
+    // Enum variants: the match pattern, the encoding of its fields, and
+    // the decoded value. `$inner` binds a `(flatten)` variant's field.
+    (@pat $variant:ident {
+        $($field:ident $([$($codec:tt)*])? $(= $default:expr)?),* $(,)?
+    } $inner:ident) => {
+        Self::$variant { $($field),* }
+    };
+    (@pat $variant:ident (flatten) $inner:ident) => {
+        Self::$variant($inner)
+    };
+    (@put_variant $map:ident {
+        $($field:ident $([$($codec:tt)*])? $(= $default:expr)?),* $(,)?
+    } $inner:ident) => {
+        $($crate::json_codec!(@put $map, $field, $field, [$($($codec)*)?]);)*
+    };
+    (@put_variant $map:ident (flatten) $inner:ident) => {
+        $crate::json::flatten_into(&mut $map, $crate::json::ToJson::to_json($inner));
+    };
+    (@build $value:ident $variant:ident {
+        $($field:ident $([$($codec:tt)*])? $(= $default:expr)?),* $(,)?
+    }) => {
+        Self::$variant {
+            $($field: $crate::json_codec!(@take $value, $field, [$($($codec)*)?] $(, $default)?),)*
+        }
+    };
+    (@build $value:ident $variant:ident (flatten)) => {
+        Self::$variant($crate::json::FromJson::from_json($value)?)
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,10 +847,8 @@ mod tests {
         assert_eq!(Json::parse("null").unwrap(), Json::Null);
         assert_eq!(Json::parse("true").unwrap(), Json::Bool(true));
         assert_eq!(Json::parse(" -12.5e2 ").unwrap(), Json::Num(-1250.0));
-        assert_eq!(
-            Json::parse(r#""a\nb\u00e9\u0041""#).unwrap(),
-            Json::Str("a\nbéA".into())
-        );
+        assert_eq!(Json::parse(r#""a\nb\u00e9\u0041""#).unwrap(), Json::Str("a\nbéA".into()));
+        assert_eq!(Json::parse(r#""é\u00e9😀\ud83d\ude00\"""#).unwrap(), Json::Str("éé😀😀\"".into()));
     }
 
     #[test]
@@ -664,7 +864,7 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in [
             "", "{", "[1,", "{\"a\":}", "nul", "01x", "\"unterminated",
-            "[1] trailing", "{\"a\" 1}", "\"\\q\"",
+            "[1] trailing", "{\"a\" 1}", "\"\\q\"", "\"é\u{1}\"", "\"é😀\n\"",
         ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
@@ -676,6 +876,7 @@ mod tests {
             ("pi", Json::Num(3.141592653589793)),
             ("n", Json::Num(42.0)),
             ("s", Json::Str("line\n\"quote\"".into())),
+            ("utf8", Json::Str("é\"\u{1}naïve\t😀\\😀".into())),
             ("arr", Json::Arr(vec![Json::Bool(false), Json::Null])),
             ("nested", Json::obj([("k", Json::Num(-7.0))])),
         ]);
@@ -726,6 +927,88 @@ mod tests {
         let v = Json::parse(r#""\ud83d\ude00""#).unwrap();
         assert_eq!(v, Json::Str("😀".into()));
         assert!(Json::parse(r#""\ud83d""#).is_err());
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_input_size() {
+        // Per byte, a long string must parse about as fast as an array of
+        // numbers of the same size; a per-character rescan of the rest of
+        // the input costs ~1,000x more at 64 KiB.
+        const SIZE: usize = 64 * 1024;
+        let string = format!("\"{}\"", "é😀abcd".repeat(SIZE / 10));
+        let numbers = format!("[{}1]", "12345,".repeat(SIZE / 6));
+        let per_byte = |doc: &str| {
+            let best = (0..5)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    Json::parse(doc).unwrap();
+                    start.elapsed()
+                })
+                .min()
+                .unwrap();
+            best.as_secs_f64() / doc.len() as f64
+        };
+        let ratio = per_byte(&string) / per_byte(&numbers);
+        assert!(ratio <= 10.0, "string parse costs {ratio:.1}x numbers per byte");
+    }
+
+    mod hex {
+        use super::*;
+
+        pub fn to_json(v: &u64) -> Json {
+            Json::Str(format!("{v:x}"))
+        }
+
+        pub fn from_json(value: &Json) -> Result<u64> {
+            u64::from_str_radix(value.as_str()?, 16).map_err(|e| JsonError::new(e.to_string()))
+        }
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Id {
+        id: u64,
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Rec {
+        owner: Id,
+        n: u32,
+        label: Option<String>,
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Msg {
+        Put { rec: Rec, seq: Option<u64> },
+        Flat(Box<Rec>),
+        Ping,
+    }
+
+    crate::json_codec! { Id { id [with hex] } }
+    crate::json_codec! { Rec { owner [flatten], n, label = None } }
+    crate::json_codec! {
+        enum Msg tag "op" { Put "put" { rec, seq = None }, Flat "flat" (flatten), Ping "ping" {} }
+    }
+
+    #[test]
+    fn declared_codecs_round_trip_and_name_the_field() {
+        let rec = Rec { owner: Id { id: 255 }, n: 3, label: None };
+        let flat = Msg::Flat(Box::new(rec.clone()));
+        assert_eq!(flat.to_json().encode(), r#"{"id":"ff","label":null,"n":3,"op":"flat"}"#);
+        assert_eq!(Msg::Ping.to_json().encode(), r#"{"op":"ping"}"#);
+        let put = |seq| Msg::Put { rec: rec.clone(), seq };
+        for msg in [put(Some(4)), put(None), flat, Msg::Ping] {
+            let text = msg.to_json().encode();
+            assert_eq!(Msg::from_json(&Json::parse(&text).unwrap()).unwrap(), msg, "{text}");
+        }
+        for (text, needle) in [
+            (r#"{"op":"pong"}"#, r#"unknown op "pong""#),
+            (r#"{"op":"flat","id":"zz","n":1}"#, "id: "),
+            (r#"{"op":"put","rec":{"id":"ff","n":-1}}"#, "rec: n: "),
+            (r#"{"op":"put","rec":{"id":"ff"}}"#, r#"rec: missing key "n""#),
+        ] {
+            let err = Msg::from_json(&Json::parse(text).unwrap()).unwrap_err().to_string();
+            assert!(err.contains(needle), "{text}: {err}");
+        }
     }
 
     #[test]

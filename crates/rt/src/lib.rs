@@ -9,7 +9,7 @@
 //! | module        | replaces                | notes                         |
 //! |---------------|-------------------------|-------------------------------|
 //! | [`rng`]       | `rand`, `rand_distr`    | xoshiro256\*\* + SplitMix64; Poisson (PTRS), LogNormal, Box–Muller normal |
-//! | [`json`]      | `serde`, `serde_json`   | value model + hand-written `ToJson`/`FromJson` impls |
+//! | [`json`]      | `serde`, `serde_json`   | value model + `ToJson`/`FromJson`, one `json_codec!` declaration per shape |
 //! | [`sync`]      | `parking_lot`           | direct-guard `Mutex`/`RwLock` over `std::sync` |
 //! | [`pool`]      | `rayon` (subset)        | persistent, deterministic `parallel_map`/`scope` worker pool |
 //! | [`proptest`]  | `proptest`              | seeded case generation, replay via printed seed, no shrinking |

@@ -203,23 +203,7 @@ impl FromJson for ObjectClass {
     }
 }
 
-impl ToJson for Resolution {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("width", self.width.to_json()),
-            ("height", self.height.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Resolution {
-    fn from_json(value: &Json) -> smokescreen_rt::json::Result<Self> {
-        Ok(Resolution {
-            width: u32::from_json(value.get("width")?)?,
-            height: u32::from_json(value.get("height")?)?,
-        })
-    }
-}
+smokescreen_rt::json_codec! { Resolution { width, height } }
 
 impl fmt::Display for Resolution {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

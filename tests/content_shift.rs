@@ -23,13 +23,13 @@ use smokescreen::core::{
 use smokescreen::degrade::{CandidateGrid, RestrictionIndex};
 use smokescreen::models::{Detector, SimYoloV4};
 use smokescreen_rt::fault::FaultPlan;
-use smokescreen_rt::json::{Json, ToJson};
+use smokescreen_rt::json::{FromJson, ToJson};
 use smokescreen::video::synth::DatasetPreset;
 use smokescreen::video::{ObjectClass, Perturb, PerturbKind, PerturbPlan, Resolution, VideoCorpus};
 use smokescreen_bench::robust::{
     check, robust_file_name, run, AuditCell, AuditConfig, RobustAudit, StreamAudit, SCHEMA,
 };
-use smokescreen_bench::trajectory::schema_of;
+use smokescreen_bench::trajectory::{assert_golden, schema_of};
 
 fn outputs_of(corpus: &VideoCorpus, detector: &dyn Detector) -> Vec<f64> {
     Workload {
@@ -68,6 +68,9 @@ fn audit_round_trips_through_json_and_file() {
     let loaded = RobustAudit::load(&path).unwrap();
     assert_eq!(loaded, audit);
     fs::remove_dir_all(&dir).ok();
+    let empty = RobustAudit { cells: vec![], ..audit };
+    let err = RobustAudit::from_json(&empty.to_json()).unwrap_err();
+    assert!(err.to_string().contains("no cells"), "{err}");
 }
 
 // ---------------------------------------------------------------------------
@@ -270,30 +273,7 @@ fn representative_audit() -> RobustAudit {
 #[test]
 fn content_shift_schema_matches_golden() {
     let schema = schema_of(&representative_audit().to_json());
-    let encoded = schema.encode_pretty();
-    let path = golden_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, &encoded).unwrap();
-        println!("blessed {}", path.display());
-        return;
-    }
-    let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nrun UPDATE_GOLDEN=1 cargo test --test content_shift to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        Json::parse(&golden).expect("golden parses"),
-        schema,
-        "ROBUST schema drifted from {} — if intentional, regen with \
-         UPDATE_GOLDEN=1 and bump robust::SCHEMA",
-        path.display()
-    );
-    // Stored exactly as the deterministic pretty encoding so
-    // `robust run --schema-golden` can diff byte-wise too.
-    assert_eq!(golden, encoded, "golden file is not the canonical encoding");
+    assert_golden(&golden_path(), &schema.encode_pretty(), "content_shift");
 }
 
 #[test]

@@ -13,11 +13,12 @@
 //!
 //! bump `trajectory::SCHEMA`, and commit the regenerated golden.
 
-use std::fs;
 use std::path::PathBuf;
 
-use smokescreen_bench::trajectory::{schema_of, BenchResult, Derived, Trajectory, SCHEMA};
-use smokescreen_rt::json::{Json, ToJson};
+use smokescreen_bench::trajectory::{
+    assert_golden, schema_of, BenchResult, Derived, Trajectory, SCHEMA,
+};
+use smokescreen_rt::json::ToJson;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trajectory_schema.json")
@@ -63,30 +64,7 @@ fn representative_trajectory() -> Trajectory {
 #[test]
 fn trajectory_schema_matches_golden() {
     let schema = schema_of(&representative_trajectory().to_json());
-    let encoded = schema.encode_pretty();
-    let path = golden_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, &encoded).unwrap();
-        println!("blessed {}", path.display());
-        return;
-    }
-    let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nrun UPDATE_GOLDEN=1 cargo test --test trajectory_schema to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        Json::parse(&golden).expect("golden parses"),
-        schema,
-        "trajectory schema drifted from {} — if intentional, regen with \
-         UPDATE_GOLDEN=1 and bump trajectory::SCHEMA",
-        path.display()
-    );
-    // The golden is stored exactly as the deterministic pretty encoding,
-    // so `trajectory run --schema-golden` can diff values byte-wise too.
-    assert_eq!(golden, encoded, "golden file is not the canonical encoding");
+    assert_golden(&golden_path(), &schema.encode_pretty(), "trajectory_schema");
 }
 
 #[test]
