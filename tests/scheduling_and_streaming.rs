@@ -10,7 +10,7 @@
 use smokescreen::core::correction::CorrectionSet;
 use smokescreen::core::{
     corrected_bound, estimate_from_outputs, true_relative_error, Aggregate, StreamingEstimator,
-    StreamingStatus,
+    StreamingStatus, Workload,
 };
 use smokescreen::degrade::{InterventionSet, RestrictionIndex, Schedule};
 use smokescreen::models::{Detector, SimYoloV4};
@@ -115,4 +115,54 @@ fn night_window_streams_with_early_stop() {
     }
     assert!(consumed < view.len(), "early stop must fire: {consumed}");
     assert!(streaming.estimate().unwrap().err_b() <= 0.25);
+}
+
+/// The online estimator's stop frames and bits on one fixed stream,
+/// recorded once and never re-blessed: a change to when
+/// `StreamingEstimator` checks its bound, or to what it estimates, moves
+/// one of these numbers.
+#[test]
+fn streaming_estimator_stops_are_pinned() {
+    let corpus = DatasetPreset::Detrac.generate(3).slice(0, 3_100);
+    let yolo = SimYoloV4::new(3);
+    let outputs = Workload {
+        corpus: &corpus,
+        detector: &yolo,
+        class: ObjectClass::Car,
+        aggregate: Aggregate::Avg,
+        delta: 0.05,
+    }
+    .population_outputs();
+    // (aggregate, (stop frame, y_approx bits, err_b bits) at the first
+    // `Converged`, (y_approx bits, err_b bits) over the whole stream)
+    let pinned = [
+        (Aggregate::Avg, (919, 0x4000c82911fd78c6, 0x3fc85123e757291a), (0x400b54e4954e4962, 0)),
+        (
+            Aggregate::Count { at_least: 2.0 },
+            (159, 0x4098e592d4f948a8, 0x3fc91f5a28ea82b0),
+            (0x40a2480000000002, 0),
+        ),
+        (
+            Aggregate::Max { r: 0.99 },
+            (29, 0x4000000000000000, 0x3fbb27c35b200d92),
+            (0x4026000000000000, 0x3f90aed66042bb59),
+        ),
+        (Aggregate::Var, (3091, 0x401a28ea9b903709, 0x3fb461e14fba1c0b), (0x401a467a5aa2718e, 0)),
+    ];
+    for (agg, stop, full) in pinned {
+        let mut s = StreamingEstimator::new(agg, outputs.len(), 0.05).with_stop_at(0.2);
+        let mut first_stop = None;
+        let mut last = StreamingStatus::Collecting;
+        for (i, &v) in outputs.iter().enumerate() {
+            last = s.push(v).unwrap();
+            if first_stop.is_none() && last == StreamingStatus::Converged {
+                let est = s.estimate().unwrap();
+                first_stop = Some((i + 1, est.y_approx().to_bits(), est.err_b().to_bits()));
+            }
+        }
+        assert_eq!(first_stop, Some(stop), "{} stop", agg.name());
+        assert_eq!(last, StreamingStatus::Exhausted, "{}", agg.name());
+        let est = s.estimate().unwrap();
+        assert_eq!((est.y_approx().to_bits(), est.err_b().to_bits()), full, "{} full", agg.name());
+    }
 }
