@@ -34,6 +34,11 @@ diff_before="$(git diff | cksum)"
 
 cargo build --release --offline --workspace
 
+echo "=== clippy: no deny-level lint anywhere in the workspace ==="
+# Default lint levels: warnings are reported but do not fail the build;
+# a deny-by-default lint (e.g. approx_constant) does.
+cargo clippy --workspace --all-targets --offline
+
 echo "=== test suite @ SMOKESCREEN_THREADS=1 ==="
 SMOKESCREEN_THREADS=1 cargo test -q --offline --workspace
 echo "=== test suite @ SMOKESCREEN_THREADS=8 ==="

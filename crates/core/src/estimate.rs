@@ -350,11 +350,13 @@ pub fn estimate_from_outputs(
 /// batch path produces — bit-for-bit — but each fraction step of the
 /// §3.3.2 sweep costs `O(Δn)` (mean-style) or `O(Δn log n)` (order-style)
 /// instead of a full recompute.
+#[derive(Debug, Clone)]
 pub struct AggregateKernel {
     aggregate: Aggregate,
     state: KernelState,
 }
 
+#[derive(Debug, Clone)]
 enum KernelState {
     Mean(MeanKernel),
     Var(VarKernel),

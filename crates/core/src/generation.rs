@@ -111,23 +111,7 @@ use crate::correction::CorrectionSet;
 use crate::estimate::{result_error_est, AggregateKernel, Workload};
 use crate::profile::{Profile, ProfilePoint};
 use crate::repair::{best_bound_for_random, corrected_bound};
-use crate::similarity::{DriftBaseline, DriftScorer};
 use crate::{CoreError, Result};
-
-/// Optional content-drift probe: after profiling, the generator scans the
-/// corpus in frame order at the workload's native resolution (through the
-/// shared output cache, so profiled frames are free) and scores each
-/// window of model outputs against the profiled baseline. Results surface
-/// as [`GenerationReport::drift_score`] /
-/// [`GenerationReport::drift_windows_flagged`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftProbe {
-    /// Reference statistics from the stream the profile was calibrated on.
-    pub baseline: DriftBaseline,
-    /// Flagging threshold (see
-    /// [`DEFAULT_DRIFT_THRESHOLD`](crate::similarity::DEFAULT_DRIFT_THRESHOLD)).
-    pub threshold: f64,
-}
 
 /// Generator tunables.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,11 +147,6 @@ pub struct GeneratorConfig {
     /// Only useful together with [`checkpoint`](Self::checkpoint) — a
     /// crash without a journal replays identically and never progresses.
     pub crash: Option<CrashPlan>,
-    /// Content-drift probe scoring the corpus against a profiled
-    /// baseline. `None` (the default) leaves generation untouched byte
-    /// for byte — the probe neither runs the model nor changes the report
-    /// unless explicitly configured.
-    pub drift: Option<DriftProbe>,
 }
 
 impl Default for GeneratorConfig {
@@ -182,7 +161,6 @@ impl Default for GeneratorConfig {
             max_cell_loss: 0.5,
             checkpoint: None,
             crash: None,
-            drift: None,
         }
     }
 }
@@ -237,12 +215,6 @@ pub struct GenerationReport {
     /// zero-byte file, …). The damaged cells were recomputed; nonzero
     /// means the journal was repaired, never that the profile is wrong.
     pub journal_corrupt_records: usize,
-    /// Largest windowed drift score observed by the configured
-    /// [`DriftProbe`] (`None` without one — the untouched default).
-    pub drift_score: Option<f64>,
-    /// Windows the drift probe flagged as diverged from the baseline
-    /// (0 without a probe).
-    pub drift_windows_flagged: usize,
 }
 
 /// Per-cell sweep result, merged into the profile in grid order.
@@ -571,31 +543,6 @@ impl<'a> ProfileGenerator<'a> {
             points.extend(cell.points);
         }
 
-        // Content-drift probe: a frame-order scan of model outputs at the
-        // workload's effective native resolution, scored windowed against
-        // the profiled baseline. Runs through the shared cache, so frames
-        // the sweep already processed at this resolution cost nothing;
-        // fresh frames are honest monitoring work and are accounted in
-        // the model counters below. Frames whose calls permanently fail
-        // under chaos simply drop out of the window — same graceful
-        // degradation as the cell sweeps.
-        if let Some(probe) = &self.config.drift {
-            let res = self
-                .workload
-                .corpus
-                .native_resolution
-                .min(self.workload.detector.native_resolution());
-            let mut scorer = DriftScorer::new(probe.baseline, probe.threshold);
-            for frame in self.workload.corpus.frames() {
-                if let Ok(v) = cache.try_count(frame, res, self.workload.class) {
-                    scorer.push(v);
-                }
-            }
-            let drift = scorer.finish();
-            report.drift_score = Some(drift.max_score);
-            report.drift_windows_flagged = drift.windows_flagged;
-        }
-
         let inv = cache.invocations();
         report.model_runs = inv.model_runs;
         report.cache_hits = inv.cache_hits;
@@ -627,10 +574,9 @@ impl<'a> ProfileGenerator<'a> {
     /// The journal file is keyed by a workload identity string — corpus,
     /// detector, query, grid, seed, and every config knob that changes
     /// cell *contents* — so journals from different workloads sharing a
-    /// directory can never cross-contaminate. Thread count, the crash
-    /// plan, and the drift probe are deliberately excluded: none of them
-    /// changes what a cell computes, and resume must work across all
-    /// three.
+    /// directory can never cross-contaminate. Thread count and the crash
+    /// plan are deliberately excluded: neither changes what a cell
+    /// computes, and resume must work across both.
     fn open_journal(
         &self,
         dir: &Path,
@@ -1432,67 +1378,6 @@ mod tests {
         let (_, r_a2) = run(1);
         assert_eq!(r_a2.cells_resumed, r_a2.cells, "seed 1 still resumes its own journal");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn drift_probe_flags_drifted_corpus_and_stays_inert_by_default() {
-        use crate::similarity::{DriftBaseline, DEFAULT_DRIFT_THRESHOLD, DEFAULT_DRIFT_WINDOW};
-        use smokescreen_video::perturb::{Perturb, PerturbKind, PerturbPlan};
-
-        let clean = DatasetPreset::Detrac.generate(49).slice(0, 3_000);
-        let yolo = SimYoloV4::new(10);
-        let workload_for = |corpus| Workload {
-            corpus,
-            detector: &yolo,
-            class: ObjectClass::Car,
-            aggregate: Aggregate::Avg,
-            delta: 0.05,
-        };
-        let baseline = DriftBaseline::from_outputs(
-            &workload_for(&clean).population_outputs(),
-            DEFAULT_DRIFT_WINDOW,
-        )
-        .unwrap();
-        let small_grid = CandidateGrid::explicit(
-            vec![0.02, 0.05],
-            vec![Resolution::square(320)],
-            vec![vec![]],
-        );
-        let probe_cfg = GeneratorConfig {
-            drift: Some(DriftProbe {
-                baseline,
-                threshold: DEFAULT_DRIFT_THRESHOLD,
-            }),
-            ..GeneratorConfig::default()
-        };
-
-        // Default config: the probe machinery is byte-invisible.
-        let restrictions = RestrictionIndex::from_ground_truth(&clean, &[]);
-        let w = workload_for(&clean);
-        let (_, default_report) =
-            ProfileGenerator::new(&w, &restrictions, GeneratorConfig::default())
-                .generate(&small_grid, None)
-                .unwrap();
-        assert_eq!(default_report.drift_score, None);
-        assert_eq!(default_report.drift_windows_flagged, 0);
-
-        // Probing the baseline's own corpus: a score, but no flags.
-        let (_, clean_report) = ProfileGenerator::new(&w, &restrictions, probe_cfg.clone())
-            .generate(&small_grid, None)
-            .unwrap();
-        let clean_score = clean_report.drift_score.expect("probe ran");
-        assert_eq!(clean_report.drift_windows_flagged, 0, "score={clean_score}");
-
-        // Probing a prevalence-drifted corpus: the tail windows flag.
-        let drifted = PerturbPlan::with_stream(3, 0.3, PerturbKind::Drift).apply(&clean);
-        let w_drift = workload_for(&drifted);
-        let restrictions_drift = RestrictionIndex::from_ground_truth(&drifted, &[]);
-        let (_, drift_report) =
-            ProfileGenerator::new(&w_drift, &restrictions_drift, probe_cfg)
-                .generate(&small_grid, None)
-                .unwrap();
-        assert!(drift_report.drift_windows_flagged > 0);
-        assert!(drift_report.drift_score.unwrap() > clean_score * 2.0);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use estimate::{
     estimate_from_outputs, result_error_est, true_relative_error, Aggregate, AggregateKernel,
     Estimate, Workload,
 };
-pub use generation::{DriftProbe, GenerationReport, GeneratorConfig, ProfileGenerator};
+pub use generation::{GenerationReport, GeneratorConfig, ProfileGenerator};
 pub use profile::{Profile, ProfilePoint};
 pub use repair::corrected_bound;
 pub use similarity::{

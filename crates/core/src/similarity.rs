@@ -18,17 +18,15 @@
 //! means** — under temporal autocorrelation (cars persist across frames;
 //! UA-DETRAC-style sequence multipliers) the i.i.d. `σ/√W` prediction
 //! underestimates the real spread several-fold and would flood the score
-//! with false positives. A window scoring above the threshold is flagged;
-//! [`GenerationReport`](crate::generation::GenerationReport) surfaces the
-//! max score and flag count when a
-//! [`DriftProbe`](crate::generation::GeneratorConfig) is configured.
+//! with false positives. A window scoring above the threshold is flagged.
+//! [`DriftScorer`] keeps only the current window's [`RunningStats`], so a
+//! live window mean is exactly the quantity the baseline was profiled
+//! from; `robust` and the serving daemon score streams with it.
 
 use smokescreen_stats::describe::{windowed_means, RunningStats};
 use smokescreen_video::{ObjectClass, Resolution};
 
-use crate::estimate::Aggregate;
 use crate::profile::Profile;
-use crate::streaming::StreamingEstimator;
 
 /// A matched pair of profile points and their bound difference.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,15 +185,12 @@ impl DriftReport {
     }
 }
 
-/// Streaming drift scorer: feeds consecutive windows of model outputs
-/// through a reused [`StreamingEstimator`] kernel and scores each against
-/// the baseline.
-///
-/// The estimator is the same machinery online query estimation uses — the
-/// window mean is its `Y_approx` over a window-sized population — reset
-/// between windows via
-/// [`reset_baseline`](StreamingEstimator::reset_baseline) rather than
-/// duplicated kernel state.
+/// Streaming drift scorer: accumulates consecutive windows of model
+/// outputs in a [`RunningStats`] and scores each window's mean against
+/// the baseline — the same `RunningStats` mean
+/// [`DriftBaseline::from_outputs`] profiled, bit for bit, however the
+/// stream is split between [`push`](Self::push) and
+/// [`extend`](Self::extend).
 ///
 /// A scorer serves batch audits ([`DriftScorer::finish`] also scores a
 /// final partial window) and long-lived freshness monitors alike: the
@@ -210,18 +205,17 @@ impl DriftReport {
 pub struct DriftScorer {
     baseline: DriftBaseline,
     threshold: f64,
-    estimator: StreamingEstimator,
+    window: RunningStats,
     report: DriftReport,
 }
 
 impl DriftScorer {
     /// Creates a scorer flagging windows whose score exceeds `threshold`.
     pub fn new(baseline: DriftBaseline, threshold: f64) -> Self {
-        let estimator = StreamingEstimator::new(Aggregate::Avg, baseline.window, 0.05);
         DriftScorer {
             baseline,
             threshold,
-            estimator,
+            window: RunningStats::new(),
             report: DriftReport::default(),
         }
     }
@@ -233,22 +227,24 @@ impl DriftScorer {
         DriftBaseline::from_outputs(outputs, window).map(|b| DriftScorer::new(b, threshold))
     }
 
-    /// Ingests one model output in stream order, scoring (and resetting)
-    /// whenever a window fills.
+    /// Ingests one model output in stream order, scoring whenever a
+    /// window fills.
     pub fn push(&mut self, output: f64) {
-        self.estimator
-            .push(output)
-            .expect("AVG estimation over a bounded window cannot fail");
-        if self.estimator.len() >= self.baseline.window {
-            self.score_current_window();
-            self.estimator.reset_baseline();
-        }
+        self.extend(&[output]);
     }
 
-    /// Ingests a batch of outputs in stream order.
-    pub fn extend(&mut self, outputs: &[f64]) {
-        for &v in outputs {
-            self.push(v);
+    /// Ingests a batch of outputs in stream order, cut at window
+    /// boundaries.
+    pub fn extend(&mut self, mut outputs: &[f64]) {
+        while !outputs.is_empty() {
+            // At least one output per step, so a zero-length window cannot spin.
+            let room = (self.baseline.window - self.window.n()).max(1);
+            let (head, rest) = outputs.split_at(room.min(outputs.len()));
+            self.window.push_slice(head);
+            if self.window.n() >= self.baseline.window {
+                self.score_window();
+            }
+            outputs = rest;
         }
     }
 
@@ -279,7 +275,7 @@ impl DriftScorer {
 
     /// Outputs buffered in the current (not yet scored) partial window.
     pub fn pending(&self) -> usize {
-        self.estimator.len()
+        self.window.n()
     }
 
     /// Scores a final partial window (if it holds at least half a window
@@ -287,18 +283,15 @@ impl DriftScorer {
     /// accumulated report.
     pub fn finish(mut self) -> DriftReport {
         if self.pending() >= self.baseline.window.div_ceil(2) {
-            self.score_current_window();
+            self.score_window();
         }
         self.report
     }
 
-    fn score_current_window(&mut self) {
-        let mean = self
-            .estimator
-            .estimate()
-            .expect("AVG estimation over a bounded window cannot fail")
-            .y_approx();
-        let score = self.baseline.score(mean);
+    /// Scores the current window and starts the next.
+    fn score_window(&mut self) {
+        let score = self.baseline.score(self.window.mean());
+        self.window = RunningStats::new();
         self.report.windows_scored += 1;
         if score > self.threshold {
             self.report.windows_flagged += 1;
@@ -446,6 +439,47 @@ mod tests {
         // A tail shorter than half a window is dropped.
         let short = drift_score(&b, &stream[..896 + 40], DEFAULT_DRIFT_THRESHOLD);
         assert_eq!(short.windows_scored, 7);
+    }
+
+    /// A `1` every 10th frame, a `6` every 40th frame (offset 5), else `0`.
+    fn sparse_pattern(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| if i % 10 == 0 { 1.0 } else if i % 40 == 5 { 6.0 } else { 0.0 })
+            .collect()
+    }
+
+    #[test]
+    fn clean_tail_window_is_scored_by_its_mean() {
+        let b = DriftBaseline::from_outputs(&sparse_pattern(4_096), 256).unwrap();
+        // Two full windows and a 200-frame tail of the baseline's pattern.
+        let stream = sparse_pattern(712);
+        let report = drift_score(&b, &stream, DEFAULT_DRIFT_THRESHOLD);
+        assert_eq!(report.windows_scored, 3);
+        assert!(!report.flagged(), "clean stream flagged, max_score={}", report.max_score);
+
+        // One definition of "window mean": each window's live score is the
+        // baseline score of its `RunningStats` mean, however it is fed.
+        let expected: Vec<f64> = stream
+            .chunks(256)
+            .map(|w| b.score(RunningStats::from_slice(w).mean()))
+            .collect();
+        for (window, &score) in stream.chunks(256).zip(&expected) {
+            let mut pushed = DriftScorer::new(b, DEFAULT_DRIFT_THRESHOLD);
+            window.iter().for_each(|&v| pushed.push(v));
+            assert_eq!(pushed.finish().max_score.to_bits(), score.to_bits());
+            for chunk in [3, 64, 100, 256] {
+                let mut scorer = DriftScorer::new(b, DEFAULT_DRIFT_THRESHOLD);
+                window.chunks(chunk).for_each(|part| scorer.extend(part));
+                assert_eq!(scorer.finish().max_score.to_bits(), score.to_bits(), "chunk {chunk}");
+            }
+        }
+        let max = expected.iter().copied().fold(0.0, f64::max);
+        assert_eq!(report.max_score.to_bits(), max.to_bits());
+        for chunk in [1, 7, 255, 300, 712] {
+            let mut scorer = DriftScorer::new(b, DEFAULT_DRIFT_THRESHOLD);
+            stream.chunks(chunk).for_each(|part| scorer.extend(part));
+            assert_eq!(scorer.finish(), report, "chunk {chunk}");
+        }
     }
 
     #[test]

@@ -8,11 +8,21 @@
 //! the bound reaches a target — the early-stopping idea of §3.3.2 applied
 //! at query time, which saves model invocations on live video.
 //!
-//! Estimates are refreshed on a geometric schedule (every time the sample
-//! grows ~5%) so per-frame cost stays O(1) amortized even for the
-//! sort-based quantile estimators.
+//! Outputs feed the same [`AggregateKernel`] profile generation sweeps
+//! with, so nothing is buffered beyond the kernel's own state and
+//! [`estimate`](StreamingEstimator::estimate) costs `O(1)` for mean-style
+//! aggregates and `O(log n)` for order-style ones.
+//!
+//! The stopping rule looks at the bound only at check points (n = 2, 3,
+//! … and then every ~5% of sample growth), not at every frame. Stopping
+//! the first time a running bound meets its target is optional stopping:
+//! each look is one more chance to stop on a lucky prefix, and the
+//! geometric schedule takes ~20·ln(n) looks where a per-frame rule takes
+//! n. A zero-width bound on a partial sample — the first frames agree, so
+//! the Hoeffding–Serfling width, which scales with the sample range, is
+//! 0 — is never taken as convergence.
 
-use crate::estimate::{estimate_from_outputs, Aggregate, Estimate};
+use crate::estimate::{Aggregate, AggregateKernel, Estimate};
 use crate::Result;
 
 /// Progress state of a streaming estimation.
@@ -33,31 +43,31 @@ pub enum StreamingStatus {
 /// sample of upcoming frames).
 #[derive(Debug, Clone)]
 pub struct StreamingEstimator {
-    aggregate: Aggregate,
+    kernel: AggregateKernel,
     population: usize,
     delta: f64,
     target_err: Option<f64>,
-    outputs: Vec<f64>,
-    cached: Option<Estimate>,
-    next_refresh: usize,
+    /// `err_b` at the latest check point.
+    checked_err: Option<f64>,
+    next_check: usize,
 }
 
 impl StreamingEstimator {
     /// Creates an estimator for a query over a population of `N` frames.
     pub fn new(aggregate: Aggregate, population: usize, delta: f64) -> Self {
         StreamingEstimator {
-            aggregate,
+            kernel: AggregateKernel::new(aggregate),
             population,
             delta,
             target_err: None,
-            outputs: Vec::new(),
-            cached: None,
-            next_refresh: 2,
+            checked_err: None,
+            next_check: 2,
         }
     }
 
     /// Sets a stopping target: [`push`](Self::push) reports
-    /// [`StreamingStatus::Converged`] once `err_b ≤ target`.
+    /// [`StreamingStatus::Converged`] once `err_b ≤ target` at a check
+    /// point.
     pub fn with_stop_at(mut self, target_err: f64) -> Self {
         self.target_err = Some(target_err);
         self
@@ -65,97 +75,87 @@ impl StreamingEstimator {
 
     /// Number of outputs ingested so far.
     pub fn len(&self) -> usize {
-        self.outputs.len()
+        self.kernel.n()
     }
 
     /// Whether nothing has been ingested yet.
     pub fn is_empty(&self) -> bool {
-        self.outputs.is_empty()
+        self.len() == 0
     }
 
-    /// Ingests one model output and reports progress. The estimate is
-    /// refreshed on a geometric schedule; use [`estimate`](Self::estimate)
-    /// for an exact up-to-the-frame value.
+    /// Ingests one model output and reports progress. The bound is checked
+    /// at the check points only (see the module doc); an estimation error
+    /// at a check point is returned.
     pub fn push(&mut self, output: f64) -> Result<StreamingStatus> {
-        self.outputs.push(output);
-        let n = self.outputs.len();
-        if n >= self.next_refresh || n >= self.population {
-            self.cached = Some(estimate_from_outputs(
-                self.aggregate,
-                &self.outputs,
-                self.population,
-                self.delta,
-            )?);
-            // ~5% growth between refreshes.
-            self.next_refresh = n + (n / 20).max(1);
+        self.kernel.push(output);
+        let n = self.len();
+        if n >= self.next_check || n >= self.population {
+            self.checked_err = Some(self.estimate()?.err_b());
+            // ~5% growth between check points.
+            self.next_check = n + (n / 20).max(1);
         }
         Ok(self.status())
     }
 
-    /// Current status based on the latest refreshed estimate.
+    /// Current status as of the latest check point.
     pub fn status(&self) -> StreamingStatus {
-        if self.outputs.len() >= self.population {
+        if self.len() >= self.population {
             return StreamingStatus::Exhausted;
         }
-        match (self.target_err, &self.cached) {
-            (Some(target), Some(est)) if est.err_b() <= target => StreamingStatus::Converged,
+        match (self.target_err, self.checked_err) {
+            // A zero-width bound before the population is exhausted only
+            // says the sample range is 0 so far.
+            (Some(target), Some(err)) if err <= target && err > 0.0 => StreamingStatus::Converged,
             _ => StreamingStatus::Collecting,
         }
     }
 
     /// The exact estimate over everything ingested so far.
     pub fn estimate(&self) -> Result<Estimate> {
-        estimate_from_outputs(self.aggregate, &self.outputs, self.population, self.delta)
-    }
-
-    /// The most recently refreshed (possibly slightly stale) estimate.
-    pub fn cached_estimate(&self) -> Option<&Estimate> {
-        self.cached.as_ref()
-    }
-
-    /// The outputs ingested since construction or the last
-    /// [`reset_baseline`](Self::reset_baseline) — the current window, in
-    /// arrival order.
-    pub fn window(&self) -> &[f64] {
-        &self.outputs
-    }
-
-    /// Clears the ingested window so the estimator can be reused for the
-    /// next span of the stream — the hook the content-drift scorer uses
-    /// to score consecutive windows against a profiled baseline without
-    /// duplicating kernel state. The aggregate, population, `δ`, and any
-    /// stopping target are retained; only the window (and its cached
-    /// estimate / refresh schedule) reset.
-    pub fn reset_baseline(&mut self) {
-        self.outputs.clear();
-        self.cached = None;
-        self.next_refresh = 2;
+        self.kernel.estimate(self.population, self.delta)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::estimate_from_outputs;
     use smokescreen_degrade::{DegradedView, InterventionSet, RestrictionIndex};
     use smokescreen_models::{Detector, SimYoloV4};
     use smokescreen_video::synth::DatasetPreset;
     use smokescreen_video::ObjectClass;
 
     #[test]
-    fn streaming_matches_batch_estimation() {
+    fn streaming_matches_batch_estimation_for_every_aggregate() {
         let corpus = DatasetPreset::Detrac.generate(60).slice(0, 3_000);
         let idx = RestrictionIndex::from_ground_truth(&corpus, &[]);
         let yolo = SimYoloV4::new(1);
         let view =
             DegradedView::new(&corpus, InterventionSet::sampling(0.2), &idx, 9).unwrap();
         let outputs = view.outputs(&yolo, ObjectClass::Car);
-
-        let mut streaming = StreamingEstimator::new(Aggregate::Avg, corpus.len(), 0.05);
-        for &v in &outputs {
-            streaming.push(v).unwrap();
+        for agg in [
+            Aggregate::Avg,
+            Aggregate::Sum,
+            Aggregate::Count { at_least: 1.0 },
+            Aggregate::Max { r: 0.99 },
+            Aggregate::Min { r: 0.01 },
+            Aggregate::Quantile { r: 0.5 },
+            Aggregate::Var,
+        ] {
+            let mut streaming = StreamingEstimator::new(agg, corpus.len(), 0.05);
+            for (i, &v) in outputs.iter().enumerate() {
+                streaming.push(v).unwrap();
+                let n = i + 1;
+                if [1, 2, 57, 400, outputs.len()].contains(&n) {
+                    assert_eq!(
+                        streaming.estimate().unwrap(),
+                        estimate_from_outputs(agg, &outputs[..n], corpus.len(), 0.05).unwrap(),
+                        "{} at n = {n}",
+                        agg.name()
+                    );
+                }
+            }
         }
-        let batch = estimate_from_outputs(Aggregate::Avg, &outputs, corpus.len(), 0.05).unwrap();
-        assert_eq!(streaming.estimate().unwrap(), batch);
     }
 
     #[test]
@@ -198,45 +198,21 @@ mod tests {
     }
 
     #[test]
-    fn reset_baseline_reuses_kernel_state_across_windows() {
-        let mut s = StreamingEstimator::new(Aggregate::Avg, 100, 0.05);
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            s.push(v).unwrap();
+    fn zero_width_bound_on_a_partial_sample_is_not_convergence() {
+        // Two equal frames: the sample range is 0, so the
+        // Hoeffding–Serfling bound is zero-width — but 9,998 frames are
+        // still unseen.
+        let mut s = StreamingEstimator::new(Aggregate::Avg, 10_000, 0.05).with_stop_at(0.2);
+        assert_eq!(s.push(3.0).unwrap(), StreamingStatus::Collecting);
+        assert_eq!(s.push(3.0).unwrap(), StreamingStatus::Collecting);
+        assert_eq!(s.estimate().unwrap().err_b(), 0.0);
+        // A bound with width meets the target as before.
+        for v in [2.0, 4.0].repeat(200) {
+            if s.push(v).unwrap() == StreamingStatus::Converged {
+                break;
+            }
         }
-        assert_eq!(s.window(), &[1.0, 2.0, 3.0, 4.0]);
-        let first = s.estimate().unwrap();
-
-        s.reset_baseline();
-        assert!(s.is_empty());
-        assert!(s.window().is_empty());
-        assert!(s.cached_estimate().is_none());
-        assert_eq!(s.status(), StreamingStatus::Collecting);
-
-        // The second window must behave exactly like a fresh estimator —
-        // same refresh schedule, same estimate for the same inputs.
-        let mut fresh = StreamingEstimator::new(Aggregate::Avg, 100, 0.05);
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            s.push(v).unwrap();
-            fresh.push(v).unwrap();
-        }
-        assert_eq!(s.estimate().unwrap(), first);
-        assert_eq!(s.estimate().unwrap(), fresh.estimate().unwrap());
-        assert_eq!(s.cached_estimate(), fresh.cached_estimate());
-    }
-
-    #[test]
-    fn quantile_streams_too() {
-        let corpus = DatasetPreset::Detrac.generate(62).slice(0, 2_000);
-        let idx = RestrictionIndex::from_ground_truth(&corpus, &[]);
-        let yolo = SimYoloV4::new(3);
-        let view =
-            DegradedView::new(&corpus, InterventionSet::sampling(0.1), &idx, 4).unwrap();
-        let mut s = StreamingEstimator::new(Aggregate::Max { r: 0.99 }, corpus.len(), 0.05);
-        for v in view.outputs(&yolo, ObjectClass::Car) {
-            s.push(v).unwrap();
-        }
-        let est = s.estimate().unwrap();
-        assert!(matches!(est, Estimate::Quantile(_)));
-        assert!(est.y_approx() > 0.0);
+        assert_eq!(s.status(), StreamingStatus::Converged);
+        assert!(s.estimate().unwrap().err_b() > 0.0);
     }
 }
