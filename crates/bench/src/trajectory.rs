@@ -815,7 +815,7 @@ pub fn run(config: &TrajectoryConfig, pr: u64, rev: String) -> Trajectory {
         config.seed,
     )
     .expect("full view");
-    let ingest_cache = OutputCache::new(&yolo);
+    let ingest_cache = OutputCache::new(&yolo, corpus.len());
     let outputs = full_view.outputs_cached(&ingest_cache, ObjectClass::Car);
     let rung_bounds: Vec<usize> = std::iter::once(0)
         .chain(ladder.iter().map(|f| {
@@ -919,7 +919,7 @@ pub fn run(config: &TrajectoryConfig, pr: u64, rev: String) -> Trajectory {
         let batch = repeat_samples(&batch_name, config.reps, || {
             // Cold cache per repetition, exactly as `generate` starts —
             // both paths pay the same one-miss-per-frame model cost.
-            let cache = OutputCache::new(&yolo);
+            let cache = OutputCache::new(&yolo, corpus.len());
             let t0 = Instant::now();
             for &f in &ladder {
                 let set = InterventionSet::sampling(f);

@@ -696,7 +696,7 @@ mod tests {
             Aggregate::Quantile { r: 0.5 },
             Aggregate::Var,
         ] {
-            let cache = OutputCache::with_faults(&yolo, plan, RetryPolicy::default());
+            let cache = OutputCache::with_faults(&yolo, corpus.len(), plan, RetryPolicy::default());
             let mut kernel = AggregateKernel::new(agg);
             let mut survivors = Vec::new();
             let mut lost = 0usize;
@@ -763,7 +763,7 @@ mod tests {
         // Every call times out: the whole sample is lost.
         let timeouts = FaultMix { timeout: 1.0, transient: 0.0, slow: 0.0, poison: 0.0 };
         let plan = FaultPlan::with_stream(2, 1.0, timeouts);
-        let cache = OutputCache::with_faults(&yolo, plan, RetryPolicy::default());
+        let cache = OutputCache::with_faults(&yolo, corpus.len(), plan, RetryPolicy::default());
         let err = result_error_est(
             &w,
             &restrictions,
@@ -784,7 +784,7 @@ mod tests {
         let yolo = SimYoloV4::new(2);
         let w = workload(&corpus, &yolo, Aggregate::Avg);
         let restrictions = RestrictionIndex::from_ground_truth(&corpus, &[]);
-        let cache = OutputCache::new(&yolo);
+        let cache = OutputCache::new(&yolo, corpus.len());
         let set = InterventionSet::sampling(0.2).with_resolution(Resolution::square(320));
         let a = result_error_est(&w, &restrictions, &set, 9, None).unwrap();
         let b = result_error_est(&w, &restrictions, &set, 9, Some(&cache)).unwrap();

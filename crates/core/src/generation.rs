@@ -29,7 +29,7 @@
 //! the previous candidate's bound. The contract is **bit-for-bit
 //! determinism**: every candidate derives its sampling permutation from
 //! the configured seed (never from execution order), cell results are
-//! merged back in grid order, and the shard-locked [`OutputCache`] keeps
+//! merged back in grid order, and the single-flight [`OutputCache`] keeps
 //! `model_runs`/`cache_hits` schedule-independent — so the emitted
 //! [`Profile`] is byte-identical for any thread count, including 1.
 //! `estimation_time_ms` sums per-candidate durations (not wall-clock), so
@@ -95,10 +95,12 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use smokescreen_degrade::{
-    CandidateGrid, DegradedView, InterventionSet, RangeOutputs, RestrictionIndex,
+    CandidateGrid, DegradedView, InterventionSet, RangeOutputs, RestrictionIndex, SampleOrder,
 };
 use smokescreen_models::{OutputCache, RetryPolicy};
 use smokescreen_rt::fault::{CrashKind, CrashPlan, FaultPlan};
@@ -433,11 +435,10 @@ impl<'a> ProfileGenerator<'a> {
         grid: &CandidateGrid,
         correction: Option<&CorrectionSet>,
     ) -> Result<(Profile, GenerationReport)> {
+        let (detector, frames) = (self.workload.detector, self.workload.corpus.len());
         let cache = match self.config.faults {
-            Some(plan) => {
-                OutputCache::with_faults(self.workload.detector, plan, self.config.retry)
-            }
-            None => OutputCache::new(self.workload.detector),
+            Some(plan) => OutputCache::with_faults(detector, frames, plan, self.config.retry),
+            None => OutputCache::new(detector, frames),
         };
 
         let combos: &[Vec<smokescreen_video::ObjectClass>] = if grid.class_combos.is_empty() {
@@ -454,11 +455,15 @@ impl<'a> ProfileGenerator<'a> {
 
         // Grid-order cell list (resolution-major, combo-minor); this order
         // defines the candidate order of the merged profile.
-        let cells: Vec<(Option<smokescreen_video::Resolution>, &Vec<smokescreen_video::ObjectClass>)> =
-            resolutions
-                .iter()
-                .flat_map(|&res| combos.iter().map(move |combo| (res, combo)))
-                .collect();
+        let cells: Vec<(Option<smokescreen_video::Resolution>, usize)> = resolutions
+            .iter()
+            .flat_map(|&res| (0..combos.len()).map(move |c| (res, c)))
+            .collect();
+        // One sample order per removal subset, built by the first of its
+        // cells to need it and shared by the rest: it does not depend on
+        // the resolution.
+        let orders: Vec<OnceLock<Option<SampleOrder>>> =
+            combos.iter().map(|_| OnceLock::new()).collect();
 
         // Open the checkpoint journal (when configured) and splice back
         // every cell it already holds. Replay validates each record's
@@ -490,24 +495,39 @@ impl<'a> ProfileGenerator<'a> {
 
         let pool = Pool::with_threads(self.config.threads);
         let resumed_len = resumed.len();
-        let fresh_outputs = pool.parallel_map(&cells, |i, &(resolution, combo)| {
-            if i < resumed_len || committer.crashed() {
+        // Cells left per processing resolution: the last to finish frees
+        // that resolution's outputs, which no later cell reads.
+        let processing = |res| self.workload.corpus.processing_resolution(res);
+        let mut cells_left: BTreeMap<smokescreen_video::Resolution, AtomicUsize> = BTreeMap::new();
+        for &(res, _) in &cells {
+            *cells_left.entry(processing(res)).or_default().get_mut() += 1;
+        }
+        let fresh_outputs = pool.parallel_map(&cells, |i, &(resolution, c)| {
+            let out = if i < resumed_len || committer.crashed() {
                 // Already durable (spliced below), or the process is
                 // "dead" — a real crash would compute nothing further.
-                return Ok(None);
-            }
-            match self.profile_cell(grid, resolution, combo, correction, &cache) {
-                Ok(out) => {
-                    // Without a journal the payload is never written.
-                    let payload = journaled.then(|| CellRecord::encode(i, &out));
-                    committer.offer(i, Some(payload.unwrap_or_default()));
-                    Ok(Some(out))
+                Ok(None)
+            } else {
+                match self
+                    .profile_cell(grid, resolution, &combos[c], &orders[c], correction, &cache)
+                {
+                    Ok(out) => {
+                        // Without a journal the payload is never written.
+                        let payload = journaled.then(|| CellRecord::encode(i, &out));
+                        committer.offer(i, Some(payload.unwrap_or_default()));
+                        Ok(Some(out))
+                    }
+                    Err(e) => {
+                        committer.offer(i, None);
+                        Err(e)
+                    }
                 }
-                Err(e) => {
-                    committer.offer(i, None);
-                    Err(e)
-                }
+            };
+            let res = processing(resolution);
+            if cells_left[&res].fetch_sub(1, Ordering::AcqRel) == 1 {
+                cache.release(res);
             }
+            out
         });
 
         let (journal_bytes, crashed, io_error) = committer.finish();
@@ -649,6 +669,7 @@ impl<'a> ProfileGenerator<'a> {
         grid: &CandidateGrid,
         resolution: Option<smokescreen_video::Resolution>,
         combo: &[smokescreen_video::ObjectClass],
+        order: &OnceLock<Option<SampleOrder>>,
         correction: Option<&CorrectionSet>,
         cache: &OutputCache<'_>,
     ) -> Result<CellOutput> {
@@ -674,9 +695,10 @@ impl<'a> ProfileGenerator<'a> {
         // One view at the largest feasible fraction covers the whole sweep:
         // the eligible population and sampling permutation are
         // fraction-independent, so every candidate's sample is a prefix of
-        // this view's sample order. Infeasible cells (removal leaves
-        // nothing) skip every candidate, exactly as the per-candidate path
-        // does.
+        // this view's sample order. They are resolution-independent too,
+        // so the view borrows the removal subset's shared `order`.
+        // Infeasible cells (removal leaves nothing) skip every candidate,
+        // exactly as the per-candidate path does.
         let max_fraction = grid
             .fractions
             .iter()
@@ -686,14 +708,14 @@ impl<'a> ProfileGenerator<'a> {
         if !max_fraction.is_finite() {
             return Ok(out);
         }
-        let view = match DegradedView::new(
-            self.workload.corpus,
-            cell_set(max_fraction),
-            self.restrictions,
-            self.config.seed,
-        ) {
-            Ok(v) => v,
-            Err(_) => return Ok(out),
+        let order =
+            order.get_or_init(|| SampleOrder::new(self.restrictions, combo, self.config.seed).ok());
+        let view = match order
+            .as_ref()
+            .map(|o| DegradedView::with_order(self.workload.corpus, cell_set(max_fraction), o))
+        {
+            Some(Ok(v)) => v,
+            _ => return Ok(out),
         };
         debug_assert!(!view.rewrites_frames(), "grid candidates never rewrite frames");
 
@@ -916,7 +938,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let cache = OutputCache::new(&yolo);
+            let cache = OutputCache::new(&yolo, corpus.len());
             let batch_points: Vec<ProfilePoint> = fractions
                 .iter()
                 .map(|&f| {

@@ -25,6 +25,6 @@ pub mod schedule;
 
 pub use grid::CandidateGrid;
 pub use intervention::{InterventionKind, InterventionSet};
-pub use pipeline::{DegradedView, RangeOutputs};
+pub use pipeline::{DegradedView, RangeOutputs, SampleOrder};
 pub use removal::RestrictionIndex;
 pub use schedule::{Schedule, Window};

@@ -28,6 +28,43 @@ pub struct RangeOutputs {
     pub lost: usize,
 }
 
+/// The sample order of one removal subset: the corpus indices that survive
+/// image removal, and one seeded permutation of them.
+///
+/// It depends on the restricted classes and the seed alone, not on the
+/// resolution or the fraction, so every view over the same subset can
+/// borrow one through [`DegradedView::with_order`] instead of rebuilding
+/// it.
+#[derive(Debug, Clone)]
+pub struct SampleOrder {
+    restricted: Vec<ObjectClass>,
+    /// Corpus indices that survive image removal.
+    eligible: Vec<usize>,
+    /// Positions into `eligible`, in sampled order (a full permutation).
+    sampler: PrefixSampler,
+}
+
+impl SampleOrder {
+    /// Builds the order for removing `restricted`; fails when removal
+    /// leaves no frames.
+    pub fn new(
+        restrictions: &RestrictionIndex,
+        restricted: &[ObjectClass],
+        seed: u64,
+    ) -> Result<Self, String> {
+        let eligible = restrictions.surviving_indices(restricted);
+        if eligible.is_empty() {
+            return Err(format!("image removal of {restricted:?} leaves no frames"));
+        }
+        let sampler = PrefixSampler::new(eligible.len(), seed);
+        Ok(SampleOrder {
+            restricted: restricted.to_vec(),
+            eligible,
+            sampler,
+        })
+    }
+}
+
 /// A non-destructive degraded view of a corpus under an intervention set.
 ///
 /// Construction resolves the three paper knobs:
@@ -47,10 +84,8 @@ pub struct RangeOutputs {
 pub struct DegradedView<'c> {
     corpus: &'c VideoCorpus,
     set: InterventionSet,
-    /// Corpus indices that survive image removal.
-    eligible: Vec<usize>,
-    /// Positions into `eligible`, in sampled order (a full permutation).
-    sampler: PrefixSampler,
+    /// The removal subset's sample order, owned or shared.
+    order: Cow<'c, SampleOrder>,
     /// Number of sampled frames under the current fraction.
     n: usize,
 }
@@ -65,27 +100,41 @@ impl<'c> DegradedView<'c> {
         seed: u64,
     ) -> Result<Self, String> {
         set.validate()?;
-        let eligible = restrictions.surviving_indices(&set.restricted);
-        if eligible.is_empty() {
+        let order = SampleOrder::new(restrictions, &set.restricted, seed)?;
+        Ok(Self::build(corpus, set, Cow::Owned(order)))
+    }
+
+    /// Builds the view over a shared sample order, which must have been
+    /// built for the set's restricted classes. Equal to
+    /// [`new`](Self::new) with the order's seed.
+    pub fn with_order(
+        corpus: &'c VideoCorpus,
+        set: InterventionSet,
+        order: &'c SampleOrder,
+    ) -> Result<Self, String> {
+        set.validate()?;
+        if order.restricted != set.restricted {
             return Err(format!(
-                "image removal of {:?} leaves no frames",
-                set.restricted
+                "sample order removes {:?}, the set removes {:?}",
+                order.restricted, set.restricted
             ));
         }
+        Ok(Self::build(corpus, set, Cow::Borrowed(order)))
+    }
+
+    fn build(corpus: &'c VideoCorpus, set: InterventionSet, order: Cow<'c, SampleOrder>) -> Self {
         // n = round(N · f), clamped to the surviving population (the paper
         // hits the same clamp: DETRAC person-removal leaves < 50% of
         // frames, so f = 0.5 is infeasible there and §5.2.2 drops to 0.1).
         let n = ((corpus.len() as f64 * set.sample_fraction).round() as usize)
             .max(1)
-            .min(eligible.len());
-        let sampler = PrefixSampler::new(eligible.len(), seed);
-        Ok(DegradedView {
+            .min(order.eligible.len());
+        DegradedView {
             corpus,
             set,
-            eligible,
-            sampler,
+            order,
             n,
-        })
+        }
     }
 
     /// The intervention set in force.
@@ -110,22 +159,21 @@ impl<'c> DegradedView<'c> {
 
     /// Eligible (post-removal) population size.
     pub fn eligible_len(&self) -> usize {
-        self.eligible.len()
+        self.order.eligible.len()
     }
 
     /// The effective processing resolution.
     pub fn resolution(&self) -> Resolution {
-        self.set
-            .resolution
-            .unwrap_or(self.corpus.native_resolution)
+        self.corpus.processing_resolution(self.set.resolution)
     }
 
     /// Corpus indices of the sampled frames, in sample order.
     pub fn sampled_indices(&self) -> Vec<usize> {
-        self.sampler
+        self.order
+            .sampler
             .prefix(self.n)
             .iter()
-            .map(|&pos| self.eligible[pos])
+            .map(|&pos| self.order.eligible[pos])
             .collect()
     }
 
@@ -142,7 +190,7 @@ impl<'c> DegradedView<'c> {
         }
         Ok(((self.corpus.len() as f64 * fraction).round() as usize)
             .max(1)
-            .min(self.eligible.len()))
+            .min(self.order.eligible.len()))
     }
 
     /// Whether frame materialization rewrites object attributes (blur,
@@ -155,8 +203,8 @@ impl<'c> DegradedView<'c> {
     /// Materializes the sampled frame at sample position `i`, applying
     /// blur/noise/compression rewrites when engaged.
     pub fn frame(&self, i: usize) -> Option<Cow<'c, Frame>> {
-        let pos = *self.sampler.prefix(self.n).get(i)?;
-        let frame = self.corpus.frame(self.eligible[pos])?;
+        let pos = *self.order.sampler.prefix(self.n).get(i)?;
+        let frame = self.corpus.frame(self.order.eligible[pos])?;
         if !self.rewrites_frames() {
             return Some(Cow::Borrowed(frame));
         }
@@ -192,41 +240,15 @@ impl<'c> DegradedView<'c> {
     /// As [`outputs`](Self::outputs) but through an [`OutputCache`] so
     /// repeated profile-generation passes reuse model invocations. Only
     /// sound when noise/compression are off (the cache keys on frame id
-    /// and resolution alone).
+    /// and resolution alone). Panics if the cache's fault plan fails a
+    /// call; chaos callers use [`try_outputs_cached`](Self::try_outputs_cached).
     pub fn outputs_cached(&self, cache: &OutputCache<'_>, class: ObjectClass) -> Vec<f64> {
-        self.outputs_cached_range(cache, class, 0..self.n)
-    }
-
-    /// Cached outputs for the half-open sample-position range
-    /// `range.start..range.end` only (positions beyond this view's sample
-    /// size yield nothing). This is the incremental-sweep entry point: a
-    /// kernel that has already ingested positions `0..a` asks for `a..b`
-    /// when the fraction rises, paying `O(Δn)` instead of `O(n)` — and the
-    /// values are exactly the suffix [`outputs_cached`](Self::outputs_cached)
-    /// would produce, in the same order.
-    pub fn outputs_cached_range(
-        &self,
-        cache: &OutputCache<'_>,
-        class: ObjectClass,
-        range: std::ops::Range<usize>,
-    ) -> Vec<f64> {
-        debug_assert!(
-            !self.rewrites_frames(),
-            "cached outputs with contrast rewrites would alias clean frames"
+        let fetched = self.try_outputs_cached(cache, class);
+        assert_eq!(
+            fetched.lost, 0,
+            "a model call failed; chaos callers must use try_outputs_cached"
         );
-        let res = self.resolution();
-        let end = range.end.min(self.n);
-        let start = range.start.min(end);
-        // `filter_map` hides the exact length from `collect`'s size hint;
-        // reserve it up front so each ladder rung allocates once.
-        let mut values = Vec::with_capacity(end - start);
-        values.extend(
-            self.sampler.prefix(self.n)[start..end]
-                .iter()
-                .filter_map(|&pos| self.corpus.frame(self.eligible[pos]))
-                .map(|f| cache.count(f, res, class)),
-        );
-        values
+        fetched.values
     }
 
     /// Fault-tolerant twin of [`outputs_cached`](Self::outputs_cached):
@@ -236,11 +258,14 @@ impl<'c> DegradedView<'c> {
         self.try_outputs_cached_range(cache, class, 0..self.n)
     }
 
-    /// Fault-tolerant twin of
-    /// [`outputs_cached_range`](Self::outputs_cached_range). On a cache
-    /// without a fault plan this returns exactly the infallible values
-    /// with `lost == 0`; under a plan, permanently failed calls are
-    /// dropped into `lost` while survivors keep their sample order.
+    /// Cached outputs for the half-open sample-position range
+    /// `range.start..range.end` only (positions beyond this view's sample
+    /// size yield nothing). This is the incremental-sweep entry point: a
+    /// kernel that has already ingested positions `0..a` asks for `a..b`
+    /// when the fraction rises, paying `O(Δn)` instead of `O(n)`. On a
+    /// cache without a fault plan `lost` is 0; under a plan, permanently
+    /// failed calls are dropped into `lost` while survivors keep their
+    /// sample order.
     pub fn try_outputs_cached_range(
         &self,
         cache: &OutputCache<'_>,
@@ -281,15 +306,13 @@ impl<'c> DegradedView<'c> {
         // reallocations here would dominate small Δn fetches. A no-op
         // once the reused scratch has warmed past the rung size.
         out.values.reserve(end - start);
-        for &pos in &self.sampler.prefix(self.n)[start..end] {
-            let Some(frame) = self.corpus.frame(self.eligible[pos]) else {
-                continue;
-            };
-            match cache.try_count(frame, res, class) {
-                Ok(v) => out.values.push(v),
-                Err(_) => out.lost += 1,
-            }
-        }
+        let frames = self.order.sampler.prefix(self.n)[start..end]
+            .iter()
+            .filter_map(|&pos| self.corpus.frame(self.order.eligible[pos]));
+        cache.try_count_each(frames, res, class, |count| match count {
+            Ok(v) => out.values.push(v),
+            Err(_) => out.lost += 1,
+        });
     }
 }
 
@@ -352,6 +375,24 @@ mod tests {
         let set = InterventionSet::sampling(0.9).with_restricted(&[ObjectClass::Person]);
         let view = DegradedView::new(&corpus, set, &idx, 1).unwrap();
         assert_eq!(view.len(), view.eligible_len());
+    }
+
+    #[test]
+    fn shared_order_views_equal_one_shot_views() {
+        let corpus = DatasetPreset::Detrac.generate(3).slice(0, 2_000);
+        let person = [ObjectClass::Person];
+        let idx = RestrictionIndex::from_ground_truth(&corpus, &person);
+        let order = SampleOrder::new(&idx, &person, 8).unwrap();
+        for (fraction, res) in [(0.1, None), (0.4, Some(Resolution::square(320)))] {
+            let mut set = InterventionSet::sampling(fraction).with_restricted(&person);
+            set.resolution = res;
+            let shared = DegradedView::with_order(&corpus, set.clone(), &order).unwrap();
+            let one_shot = DegradedView::new(&corpus, set, &idx, 8).unwrap();
+            assert_eq!(shared.sampled_indices(), one_shot.sampled_indices());
+            assert_eq!(shared.resolution(), one_shot.resolution());
+        }
+        let unrestricted = InterventionSet::sampling(0.1);
+        assert!(DegradedView::with_order(&corpus, unrestricted, &order).is_err());
     }
 
     #[test]
@@ -423,7 +464,7 @@ mod tests {
     fn cached_outputs_match_direct() {
         let (corpus, idx) = setup();
         let yolo = SimYoloV4::new(4);
-        let cache = OutputCache::new(&yolo);
+        let cache = OutputCache::new(&yolo, corpus.len());
         let view = DegradedView::new(&corpus, InterventionSet::sampling(0.1), &idx, 11).unwrap();
         assert_eq!(
             view.outputs(&yolo, ObjectClass::Car),
@@ -436,27 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn ranged_outputs_concatenate_to_full_scan() {
-        let (corpus, idx) = setup();
-        let yolo = SimYoloV4::new(4);
-        let cache = OutputCache::new(&yolo);
-        let view = DegradedView::new(&corpus, InterventionSet::sampling(0.2), &idx, 11).unwrap();
-        let full = view.outputs_cached(&cache, ObjectClass::Car);
-        assert_eq!(view.outputs_cached_range(&cache, ObjectClass::Car, 0..view.len()), full);
-        // Arbitrary chunking reassembles the same sequence in order.
-        let mut chunked = Vec::new();
-        for start in (0..view.len()).step_by(97) {
-            let end = (start + 97).min(view.len());
-            chunked.extend(view.outputs_cached_range(&cache, ObjectClass::Car, start..end));
-        }
-        assert_eq!(chunked, full);
-        // Out-of-bounds ranges clamp instead of panicking.
-        assert!(view
-            .outputs_cached_range(&cache, ObjectClass::Car, view.len()..view.len() + 50)
-            .is_empty());
-    }
-
-    #[test]
     fn try_outputs_drop_and_count_failed_calls() {
         use smokescreen_models::RetryPolicy;
         use smokescreen_rt::fault::{FaultMix, FaultPlan};
@@ -466,7 +486,7 @@ mod tests {
         let view = DegradedView::new(&corpus, InterventionSet::sampling(0.2), &idx, 11).unwrap();
 
         // Plan-less fallible path is byte-identical to the infallible one.
-        let clean_cache = OutputCache::new(&yolo);
+        let clean_cache = OutputCache::new(&yolo, corpus.len());
         let clean = view.try_outputs_cached(&clean_cache, ObjectClass::Car);
         assert_eq!(clean.lost, 0);
         assert_eq!(clean.values, view.outputs_cached(&clean_cache, ObjectClass::Car));
@@ -475,7 +495,7 @@ mod tests {
         // the survivors are the clean subsequence (payloads never corrupt).
         let timeouts = FaultMix { timeout: 1.0, transient: 0.0, slow: 0.0, poison: 0.0 };
         let plan = FaultPlan::with_stream(17, 0.3, timeouts);
-        let cache = OutputCache::with_faults(&yolo, plan, RetryPolicy::default());
+        let cache = OutputCache::with_faults(&yolo, corpus.len(), plan, RetryPolicy::default());
         let chaotic = view.try_outputs_cached(&cache, ObjectClass::Car);
         assert!(chaotic.lost > 0, "a 30% timeout plan must lose frames");
         assert_eq!(chaotic.lost + chaotic.values.len(), view.len());
@@ -489,7 +509,7 @@ mod tests {
         }
 
         // Replays are exact, and chunked fetches agree with the full scan.
-        let replay = OutputCache::with_faults(&yolo, plan, RetryPolicy::default());
+        let replay = OutputCache::with_faults(&yolo, corpus.len(), plan, RetryPolicy::default());
         assert_eq!(view.try_outputs_cached(&replay, ObjectClass::Car), chaotic);
         let mut chunked = RangeOutputs::default();
         for start in (0..view.len()).step_by(61) {
@@ -499,6 +519,12 @@ mod tests {
             chunked.lost += part.lost;
         }
         assert_eq!(chunked, chaotic);
+        // Out-of-bounds ranges clamp instead of panicking.
+        let past_end = view.len()..view.len() + 50;
+        assert_eq!(
+            view.try_outputs_cached_range(&replay, ObjectClass::Car, past_end),
+            RangeOutputs::default()
+        );
     }
 
     #[test]

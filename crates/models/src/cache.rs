@@ -8,96 +8,104 @@
 //! §5.3.1 profile-generation-time experiment measures "model time" without
 //! a GPU.
 //!
-//! Profile generation now runs candidate cells on `rt::pool` workers, so
-//! the cache is shard-locked: keys hash to one of [`SHARD_COUNT`]
-//! independent `RwLock`ed maps, letting workers at different resolutions
-//! proceed without contending on a single lock.
+//! # One dense table per resolution
 //!
-//! # Per-worker memo layer
+//! Frame ids are dense corpus indices (`VideoCorpus::new` renumbers them
+//! `0..len`), so the cache is built with the corpus length and keeps one
+//! slot per frame for each resolution it is asked for. A resolution's
+//! table is created on its first request and linked into a lock-free,
+//! append-only chain; each slot is a [`OnceLock`]. A frame id outside the
+//! table is a caller bug and panics.
 //!
-//! Shard `RwLock`s still serialize the hottest path: a warm fraction-ladder
-//! sweep is ~100% reads, and readers at the *same* resolution all hammer
-//! the same few shards. Each cache therefore carries a read-through memo
-//! layer keyed on [`pool::memo_slot`](smokescreen_rt::pool::memo_slot) —
-//! one private map per worker thread. A memo hit never touches a shard
-//! lock; a shard *read* hit is copied into the calling worker's memo once
-//! and served locally forever after. Cold inserts deliberately do **not**
-//! warm the memo — a workload that touches each key exactly once (a
-//! single-cell sweep) would pay a wasted clone per frame — so only keys
-//! that are actually re-read are ever copied. Memos are
-//! write-behind-never: they only mirror entries that are already in a
-//! shard, so they cannot change which keys exist. Poisoned and failed keys are never memoized (they
-//! are never cached at all), preserving the chaos contract below.
-//! Accounting is defined to be **schedule-independent**:
+//! * **Hit.** The chain walk finds the resolution's table, the frame id
+//!   indexes the slot, and the count is taken by reference: no hashing,
+//!   no clone, no allocation. [`try_count_each`](OutputCache::try_count_each),
+//!   the fraction ladder's batched fetch, walks the chain and takes the
+//!   table's read lock once per batch, not per frame.
+//! * **Cold miss.** `get_or_init` runs the model once. Workers that ask
+//!   for the same key meanwhile wait for that call and then read its
+//!   output; none runs the model again.
+//! * **Panic.** An initialiser that panics leaves its slot empty, so the
+//!   next caller runs the model again.
+//! * **Release.** [`release`](OutputCache::release) frees a resolution's
+//!   slots and outputs once its caller is done with it; profile generation
+//!   releases each resolution when its last cell finishes, so only the
+//!   resolutions in flight hold memory. The run counters survive release.
 //!
-//! * `model_runs` counts *distinct* `(frame, resolution)` keys materialized
-//!   — if two workers race on the same cold key, the losing insert is
-//!   reclassified as a cache hit, so the totals never depend on thread
-//!   interleaving;
-//! * `model_time_ms` is derived as `Σ_res runs(res) · cost(res)` over a
-//!   sorted per-resolution run ledger rather than a float accumulator, so
-//!   it is bit-identical across thread counts and equals
-//!   `model_runs · T_model` exactly when one resolution is in play.
+//! Accounting is **schedule-independent**:
+//!
+//! * `model_runs` counts one run per stored key, taken by the call that
+//!   filled the slot; every other call to a stored key, including one
+//!   that waited for the fill, is a hit. Detector calls therefore equal
+//!   `model_runs` exactly;
+//! * `model_time_ms` is derived as `Σ_res runs(res) · cost(res)` from the
+//!   tables' run counters, summed in resolution order rather than in a
+//!   float accumulator, so it is bit-identical across thread counts and
+//!   equals `model_runs · T_model` exactly when one resolution is in play.
 //!
 //! # Fault injection
 //!
-//! A cache built with [`OutputCache::with_faults`] routes every cold
-//! model call through [`detect_with_retry`]: transient failures are
-//! retried under the deterministic backoff of a [`RetryPolicy`], timeouts
-//! and exhausted retries surface as typed [`ModelError`]s from
-//! [`try_detect`](OutputCache::try_detect), and a `CachePoison` fault
-//! marks the key uncacheable (its output is served but never stored, so
-//! every request re-runs the model — an evicting shard). Fault accounting
-//! follows the same schedule-independence rules as run accounting: for a
-//! key that ends up cached, only the thread whose insert wins accounts
-//! its retries/latency; for keys that are never cached (failures and
-//! poisoned keys) every call accounts itself, and the number of logical
-//! calls is fixed by the work, not the schedule. Simulated fault latency
-//! accumulates in integer microseconds, so sums are order-independent.
+//! A cache built with [`OutputCache::with_faults`] routes every model call
+//! through [`detect_with_retry`]: transient failures are retried under the
+//! deterministic backoff of a [`RetryPolicy`], timeouts and exhausted
+//! retries surface as typed [`ModelError`](crate::ModelError)s from
+//! [`try_detect`](OutputCache::try_detect), and a `CachePoison` fault marks
+//! the key uncacheable.
+//!
+//! The verdict comes before the slot. What a key's call does is a pure
+//! function of its call key ([`CallVerdict::of`]), so the cache decides it
+//! before running the model:
+//!
+//! * a storable key (a clean, slow or cleared-transient call) goes
+//!   through its slot; the call that fills it runs the model and accounts
+//!   its retries and slow-response latency once. Models never fail
+//!   ([`Detector::detect`] is infallible), so a fill always stores;
+//! * a poisoned or failing key never enters a slot. Every call to it runs
+//!   [`detect_with_retry`] itself: a poisoned call runs the model and
+//!   accounts a run and a fault, a failed call accounts its whole retry
+//!   budget and a failure. Nobody waits on such a key.
+//!
+//! Every total is thus fixed by the logical calls, not by the schedule.
+//! Simulated fault latency accumulates in integer microseconds, so its sum
+//! is order-independent too.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{OnceLock, RwLockReadGuard};
 
 use smokescreen_rt::fault::FaultPlan;
-use smokescreen_rt::pool::{memo_slot, MEMO_SLOTS};
-use smokescreen_rt::sync::{Mutex, RwLock};
+use smokescreen_rt::sync::RwLock;
 use smokescreen_video::{Frame, ObjectClass, Resolution};
 
 use crate::detector::{Detections, Detector, ModelResult};
-use crate::oracle::{detect_with_retry, RetryOutcome, RetryPolicy};
+use crate::oracle::{detect_with_retry, CallVerdict, RetryPolicy};
 
-/// Cache key: frame id × resolution (the detector is fixed per cache).
-type Key = (u64, Resolution);
+/// A table's slots, one per frame.
+type Slots = Box<[OnceLock<Detections>]>;
 
-/// Number of independent lock shards.
-pub const SHARD_COUNT: usize = 16;
-
-/// Maps a key to its shard via a SplitMix64-style mix of the frame id and
-/// resolution, so consecutive frame ids spread across shards.
-fn shard_index(key: &Key) -> usize {
-    let mut x = key.0 ^ (u64::from(key.1.width) << 32) ^ u64::from(key.1.height);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (x ^ (x >> 31)) as usize % SHARD_COUNT
+/// One resolution's outputs, indexed by frame id.
+struct Table {
+    res: Resolution,
+    /// Allocated on the first lookup, emptied by
+    /// [`release`](OutputCache::release).
+    slots: RwLock<Slots>,
+    /// Model runs at this resolution: one per stored key, plus one per
+    /// call to a poisoned key.
+    runs: AtomicUsize,
+    /// The table of the next resolution requested, once there is one.
+    next: OnceLock<Box<Table>>,
 }
 
 /// A caching wrapper around a detector.
 ///
-/// Thread-safe and shard-locked; see the module docs for the concurrency,
-/// accounting, and fault-injection contracts.
+/// Thread-safe; see the module docs for the table, accounting, and
+/// fault-injection contracts.
 pub struct OutputCache<'d> {
     detector: &'d dyn Detector,
-    shards: Vec<RwLock<HashMap<Key, Detections>>>,
-    /// Per-worker read-through memos over the shards, indexed by
-    /// [`memo_slot`]. Each mutex is thread-affine in steady state, so
-    /// locking it never contends; it only exists so a slot reassigned to
-    /// a new thread (or aliased past [`MEMO_SLOTS`] workers) stays sound.
-    memos: Vec<Mutex<HashMap<Key, Detections>>>,
-    model_runs: AtomicUsize,
+    /// Slots per table: the corpus length.
+    frames: usize,
+    /// Head of the per-resolution table chain.
+    tables: OnceLock<Box<Table>>,
     cache_hits: AtomicUsize,
-    /// Distinct-key model runs per resolution, ordered so the derived
-    /// model-time sum is deterministic.
-    runs_by_resolution: Mutex<BTreeMap<Resolution, usize>>,
     fault_plan: Option<FaultPlan>,
     retry: RetryPolicy,
     retries: AtomicUsize,
@@ -129,29 +137,34 @@ pub struct Invocations {
 }
 
 impl<'d> OutputCache<'d> {
-    /// Wraps a detector (no fault injection).
-    pub fn new(detector: &'d dyn Detector) -> Self {
-        Self::with_fault_plan(detector, None, RetryPolicy::default())
+    /// Wraps a detector for a corpus of `frames` frames (no fault
+    /// injection).
+    pub fn new(detector: &'d dyn Detector, frames: usize) -> Self {
+        Self::with_fault_plan(detector, frames, None, RetryPolicy::default())
     }
 
-    /// Wraps a detector with a seeded fault plan and retry policy; the
-    /// chaos-run constructor.
-    pub fn with_faults(detector: &'d dyn Detector, plan: FaultPlan, retry: RetryPolicy) -> Self {
-        Self::with_fault_plan(detector, Some(plan), retry)
+    /// Wraps a detector for a corpus of `frames` frames with a seeded
+    /// fault plan and retry policy; the chaos-run constructor.
+    pub fn with_faults(
+        detector: &'d dyn Detector,
+        frames: usize,
+        plan: FaultPlan,
+        retry: RetryPolicy,
+    ) -> Self {
+        Self::with_fault_plan(detector, frames, Some(plan), retry)
     }
 
     fn with_fault_plan(
         detector: &'d dyn Detector,
+        frames: usize,
         fault_plan: Option<FaultPlan>,
         retry: RetryPolicy,
     ) -> Self {
         OutputCache {
             detector,
-            shards: (0..SHARD_COUNT).map(|_| RwLock::new(HashMap::new())).collect(),
-            memos: (0..MEMO_SLOTS).map(|_| Mutex::new(HashMap::new())).collect(),
-            model_runs: AtomicUsize::new(0),
+            frames,
+            tables: OnceLock::new(),
             cache_hits: AtomicUsize::new(0),
-            runs_by_resolution: Mutex::new(BTreeMap::new()),
             fault_plan,
             retry,
             retries: AtomicUsize::new(0),
@@ -171,91 +184,132 @@ impl<'d> OutputCache<'d> {
         self.fault_plan.as_ref()
     }
 
-    /// Accounts one distinct-key model run at a resolution.
-    fn account_run(&self, res: Resolution) {
-        self.model_runs.fetch_add(1, Ordering::Relaxed);
-        *self.runs_by_resolution.lock().entry(res).or_insert(0) += 1;
+    /// The table for a resolution, appending it to the chain on first
+    /// request. Two workers appending at once agree through the link's
+    /// `OnceLock`: the loser finds the winner's table and walks on.
+    fn table(&self, res: Resolution) -> &Table {
+        let mut link = &self.tables;
+        loop {
+            let table = link.get_or_init(|| {
+                Box::new(Table {
+                    res,
+                    slots: RwLock::default(),
+                    runs: AtomicUsize::new(0),
+                    next: OnceLock::new(),
+                })
+            });
+            if table.res == res {
+                return table;
+            }
+            link = &table.next;
+        }
     }
 
-    /// Accounts the fault cost of one successful faulted call.
-    fn account_fault(&self, outcome: &RetryOutcome) {
+    /// A read guard on the table's slots, allocating them on first use
+    /// (or again after a [`release`](Self::release)).
+    fn slots<'t>(&self, table: &'t Table) -> RwLockReadGuard<'t, Slots> {
+        loop {
+            let slots = table.slots.read();
+            if slots.len() == self.frames {
+                return slots;
+            }
+            drop(slots);
+            let mut slots = table.slots.write();
+            if slots.len() != self.frames {
+                *slots = (0..self.frames).map(|_| OnceLock::new()).collect();
+            }
+        }
+    }
+
+    /// Every table, in the order resolutions were first requested.
+    fn tables(&self) -> impl Iterator<Item = &Table> {
+        std::iter::successors(self.tables.get(), |t| t.next.get()).map(|t| &**t)
+    }
+
+    /// Accounts one faulted call: its retries and simulated latency.
+    fn account_fault(&self, retries: u32, latency_ms: f64) {
         self.faults_injected.fetch_add(1, Ordering::Relaxed);
-        self.retries
-            .fetch_add(outcome.retries as usize, Ordering::Relaxed);
-        let us = ((outcome.backoff_ms + outcome.slow_ms) * 1e3).round() as u64;
+        self.retries.fetch_add(retries as usize, Ordering::Relaxed);
+        let us = (latency_ms * 1e3).round() as u64;
         self.fault_time_us.fetch_add(us, Ordering::Relaxed);
     }
 
-    /// Runs (or replays) the model on a frame at a resolution, surfacing
-    /// injected faults as typed errors. Failed keys are never cached, so
-    /// a later call under a cleared plan (or a breaker probe) re-attempts
-    /// the model rather than replaying a poisoned result.
-    pub fn try_detect(&self, frame: &Frame, res: Resolution) -> ModelResult<Detections> {
-        let key = (frame.id, res);
-        let memo = &self.memos[memo_slot()];
-        if let Some(hit) = memo.lock().get(&key) {
+    /// Applies `read` to the key's output, running the model at most once
+    /// per storable key (see the module docs). Keys the fault plan poisons
+    /// or fails bypass the table, and every call to them runs and accounts
+    /// itself.
+    fn with_output<T>(
+        &self,
+        table: &Table,
+        slots: &[OnceLock<Detections>],
+        frame: &Frame,
+        read: impl FnOnce(&Detections) -> T,
+    ) -> ModelResult<T> {
+        let res = table.res;
+        let slot = usize::try_from(frame.id)
+            .ok()
+            .and_then(|i| slots.get(i))
+            .unwrap_or_else(|| {
+                panic!(
+                    "frame id {} is outside this OutputCache's {} frames; build the cache with the corpus length",
+                    frame.id, self.frames
+                )
+            });
+        if let Some(hit) = slot.get() {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.clone());
+            return Ok(read(hit));
         }
-        let shard = &self.shards[shard_index(&key)];
-        if let Some(hit) = shard.read().get(&key) {
+        let plan = self.fault_plan.as_ref();
+        let CallVerdict::Output { retries, backoff_ms, slow_ms, poisoned: false } =
+            CallVerdict::of(plan, frame.id, res, &self.retry)
+        else {
+            return self.call_unstored(table, frame).map(|d| read(&d));
+        };
+        let mut ran = false;
+        let out = slot.get_or_init(|| {
+            ran = true;
+            // A model that panics here leaves the slot empty and nothing
+            // accounted.
+            let detections = self.detector.detect(frame, res);
+            table.runs.fetch_add(1, Ordering::Relaxed);
+            if retries > 0 || slow_ms > 0.0 {
+                self.account_fault(retries, backoff_ms + slow_ms);
+            }
+            detections
+        });
+        if !ran {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let out = hit.clone();
-            memo.lock().insert(key, out.clone());
-            return Ok(out);
         }
-        // Run the model outside the write lock so a slow inference never
-        // blocks the shard. Detectors are deterministic per key, so a
-        // racing duplicate computes the identical output.
-        match detect_with_retry(self.detector, frame, res, self.fault_plan.as_ref(), &self.retry)
-        {
+        Ok(read(out))
+    }
+
+    /// One call to a key that never enters the table: poisoned (served and
+    /// accounted as a run, never stored) or failing (its whole retry
+    /// budget accounted).
+    fn call_unstored(&self, table: &Table, frame: &Frame) -> ModelResult<Detections> {
+        let plan = self.fault_plan.as_ref();
+        match detect_with_retry(self.detector, frame, table.res, plan, &self.retry) {
             Ok(outcome) => {
-                if outcome.poisoned {
-                    // Poisoned shard: serve the output but never store it.
-                    // Every call to this key is real model work, so every
-                    // call accounts a run; the logical call count is fixed
-                    // by the work items, keeping totals replayable.
-                    self.account_run(res);
-                    self.account_fault(&outcome);
-                    return Ok(outcome.detections);
-                }
-                // The fresh key is NOT mirrored into the memo here: a
-                // workload that touches each key once (a single-cell
-                // generation sweep) would pay a wasted clone per frame.
-                // The memo warms lazily on the first shard *read* hit
-                // instead, so only re-read keys are ever copied.
-                let mut entries = shard.write();
-                match entries.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        // Lost a cold-key race: the winner's insert owns
-                        // the model run (and any fault accounting); this
-                        // call is reclassified as a hit so totals stay
-                        // independent of scheduling.
-                        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        Ok(e.get().clone())
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        self.account_run(res);
-                        if outcome.retries > 0 || outcome.slow_ms > 0.0 {
-                            self.account_fault(&outcome);
-                        }
-                        v.insert(outcome.detections.clone());
-                        Ok(outcome.detections)
-                    }
-                }
+                table.runs.fetch_add(1, Ordering::Relaxed);
+                self.account_fault(outcome.retries, outcome.backoff_ms + outcome.slow_ms);
+                Ok(outcome.detections)
             }
             Err(e) => {
-                // Permanent failure: nothing to cache, so every logical
-                // call pays (and accounts) its full retry budget.
                 let retries = self.retry.max_attempts.max(1) - 1;
-                self.faults_injected.fetch_add(1, Ordering::Relaxed);
                 self.failed_calls.fetch_add(1, Ordering::Relaxed);
-                self.retries.fetch_add(retries as usize, Ordering::Relaxed);
-                let us = (self.retry.total_backoff_ms(retries) * 1e3).round() as u64;
-                self.fault_time_us.fetch_add(us, Ordering::Relaxed);
+                self.account_fault(retries, self.retry.total_backoff_ms(retries));
                 Err(e)
             }
         }
+    }
+
+    /// Runs (or replays) the model on a frame at a resolution, surfacing
+    /// injected faults as typed errors. Failed keys are never stored, so
+    /// a later call under a cleared plan (or a breaker probe) re-attempts
+    /// the model rather than replaying a poisoned result.
+    pub fn try_detect(&self, frame: &Frame, res: Resolution) -> ModelResult<Detections> {
+        let table = self.table(res);
+        self.with_output(table, &self.slots(table), frame, Detections::clone)
     }
 
     /// Runs (or replays) the model on a frame at a resolution. Infallible
@@ -275,56 +329,64 @@ impl<'d> OutputCache<'d> {
         })
     }
 
-    /// Fallible count of a class, surfacing injected faults.
-    ///
-    /// This is the fraction-ladder hot path: on a memo hit the count is
-    /// computed by reference inside the worker's own memo map — no shard
-    /// lock, no `Detections` clone, no allocation. A shard hit counts
-    /// under the read guard and pays one clone to warm the memo; only
-    /// cold keys fall through to the full [`try_detect`](Self::try_detect)
-    /// model path.
+    /// Fallible count of a class, surfacing injected faults. A hit counts
+    /// by reference in the slot, with no clone and no allocation.
     pub fn try_count(
         &self,
         frame: &Frame,
         res: Resolution,
         class: ObjectClass,
     ) -> ModelResult<f64> {
-        let key = (frame.id, res);
-        let memo = &self.memos[memo_slot()];
-        if let Some(hit) = memo.lock().get(&key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.count(class) as f64);
+        let table = self.table(res);
+        self.with_output(table, &self.slots(table), frame, |d| d.count(class) as f64)
+    }
+
+    /// [`try_count`](Self::try_count) over a batch of frames at one
+    /// resolution, handing each result to `each` in order. This is the
+    /// fraction-ladder hot path: the table is found and locked once for
+    /// the whole batch.
+    pub fn try_count_each<'f>(
+        &self,
+        frames: impl IntoIterator<Item = &'f Frame>,
+        res: Resolution,
+        class: ObjectClass,
+        mut each: impl FnMut(ModelResult<f64>),
+    ) {
+        let table = self.table(res);
+        let slots = self.slots(table);
+        for frame in frames {
+            each(self.with_output(table, &slots, frame, |d| d.count(class) as f64));
         }
-        {
-            let shard = self.shards[shard_index(&key)].read();
-            if let Some(hit) = shard.get(&key) {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                let n = hit.count(class) as f64;
-                let warm = hit.clone();
-                drop(shard);
-                memo.lock().insert(key, warm);
-                return Ok(n);
-            }
+    }
+
+    /// Frees a resolution's slots and the outputs they hold. The caller
+    /// promises no further lookups at `res`; one that comes anyway finds
+    /// an empty table and runs the model again. Run accounting is kept.
+    pub fn release(&self, res: Resolution) {
+        if let Some(table) = self.tables().find(|t| t.res == res) {
+            *table.slots.write() = Slots::default();
         }
-        Ok(self.try_detect(frame, res)?.count(class) as f64)
     }
 
     /// Current accounting snapshot. `model_time_ms` is recomputed from the
-    /// per-resolution ledger, so `model_time_ms = Σ runs(res) · cost(res)`
-    /// holds exactly at every snapshot — including mid-chaos: poisoned
-    /// re-runs enter both sides of the identity, failed calls enter
-    /// neither.
+    /// per-resolution run counters, so `model_time_ms = Σ runs(res) ·
+    /// cost(res)` holds exactly at every snapshot — including mid-chaos:
+    /// poisoned re-runs enter both sides of the identity, failed calls
+    /// enter neither.
     pub fn invocations(&self) -> Invocations {
-        let model_time_ms = self
-            .runs_by_resolution
-            .lock()
-            .iter()
-            .map(|(&res, &runs)| runs as f64 * self.detector.inference_cost_ms(res))
-            .sum();
+        let mut runs: Vec<(Resolution, usize)> = self
+            .tables()
+            .map(|t| (t.res, t.runs.load(Ordering::Relaxed)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        runs.sort_unstable();
         Invocations {
-            model_runs: self.model_runs.load(Ordering::Relaxed),
+            model_runs: runs.iter().map(|&(_, n)| n).sum(),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            model_time_ms,
+            model_time_ms: runs
+                .iter()
+                .map(|&(res, n)| n as f64 * self.detector.inference_cost_ms(res))
+                .sum(),
             retries: self.retries.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             failed_calls: self.failed_calls.load(Ordering::Relaxed),
@@ -334,12 +396,14 @@ impl<'d> OutputCache<'d> {
 
     /// Number of distinct `(frame, resolution)` outputs held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.tables()
+            .map(|t| t.slots.read().iter().filter(|s| s.get().is_some()).count())
+            .sum()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.len() == 0
     }
 }
 
@@ -356,7 +420,7 @@ mod tests {
     fn caches_by_frame_and_resolution() {
         let corpus = DatasetPreset::NightStreet.generate(1);
         let yolo = SimYoloV4::new(5);
-        let cache = OutputCache::new(&yolo);
+        let cache = OutputCache::new(&yolo, corpus.len());
         let f = corpus.frame(10).unwrap();
         let r1 = Resolution::square(608);
         let r2 = Resolution::square(320);
@@ -379,7 +443,7 @@ mod tests {
     fn cached_output_identical_to_direct() {
         let corpus = DatasetPreset::Detrac.generate(2);
         let yolo = SimYoloV4::new(6);
-        let cache = OutputCache::new(&yolo);
+        let cache = OutputCache::new(&yolo, corpus.len());
         let f = corpus.frame(55).unwrap();
         let res = Resolution::square(416);
         assert_eq!(cache.detect(f, res), yolo.detect(f, res));
@@ -389,7 +453,7 @@ mod tests {
     fn model_time_is_exactly_runs_times_cost() {
         let corpus = DatasetPreset::Detrac.generate(3);
         let yolo = SimYoloV4::new(7);
-        let cache = OutputCache::new(&yolo);
+        let cache = OutputCache::new(&yolo, corpus.len());
         let res = Resolution::square(320);
         for i in 0..40 {
             let _ = cache.detect(corpus.frame(i % 25).unwrap(), res);
@@ -405,81 +469,80 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_access_keeps_accounting_schedule_independent() {
-        let corpus = DatasetPreset::NightStreet.generate(4).slice(0, 200);
-        let yolo = SimYoloV4::new(8);
-        let cache = OutputCache::new(&yolo);
+    fn faulted_accounting_is_schedule_independent() {
+        // The fault rules: the verdict comes before the slot, so poisoned
+        // and failed keys are never stored, and every call to them runs
+        // and accounts itself. Nobody waits on them, so every total is
+        // fixed by the calls: 2, 8 and 16 threads hammering every key match
+        // one thread making the same calls, field for field, whether the
+        // threads are scoped threads or the production pool's workers.
+        let corpus = DatasetPreset::NightStreet.generate(9).slice(0, 240);
+        let yolo = SimYoloV4::new(10);
         let res = Resolution::square(512);
-        // 8 threads all touch every frame: distinct keys = 200, total
-        // calls = 1600, regardless of interleaving.
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for f in corpus.frames() {
-                        let _ = cache.detect(f, res);
+        let (plan, retry) = (FaultPlan::new(21, 0.3), RetryPolicy::default());
+        const CALLS_PER_KEY: usize = 48;
+        let run = |threads: usize, pooled: bool| {
+            let counted = Counting::new(&yolo);
+            let cache = OutputCache::with_faults(&counted, corpus.len(), plan, retry);
+            let sweep = || {
+                for f in corpus.frames() {
+                    if let Ok(d) = cache.try_detect(f, res) {
+                        assert_eq!(d, yolo.detect(f, res), "payloads are never corrupted");
+                    }
+                }
+            };
+            if pooled {
+                let sweeps: Vec<usize> = (0..CALLS_PER_KEY).collect();
+                Pool::with_threads(threads).parallel_map(&sweeps, |_, _| sweep());
+            } else {
+                std::thread::scope(|s| {
+                    for _ in 0..threads {
+                        s.spawn(|| (0..CALLS_PER_KEY / threads).for_each(|_| sweep()));
                     }
                 });
             }
-        });
-        let inv = cache.invocations();
-        assert_eq!(inv.model_runs, 200, "distinct keys only");
-        assert_eq!(inv.model_runs + inv.cache_hits, 1600, "every call counted once");
-        assert_eq!(cache.len(), 200);
-        assert_eq!(
-            inv.model_time_ms,
-            200.0 * smokescreen_models_cost(&yolo, res)
-        );
-    }
-
-    #[test]
-    fn faulted_accounting_is_schedule_independent() {
-        // The chaos twin of the test above: under a fault plan, every
-        // accounting total (runs, hits+runs, retries, faults, failures,
-        // fault time) must be invariant across thread interleavings, and
-        // model_time_ms == runs · T_model must keep holding exactly.
-        let corpus = DatasetPreset::NightStreet.generate(9).slice(0, 300);
-        let yolo = SimYoloV4::new(10);
-        let res = Resolution::square(512);
-        let plan = FaultPlan::new(21, 0.3);
-        let run = |threads: usize| {
-            let cache = OutputCache::with_faults(&yolo, plan, RetryPolicy::default());
-            let frames: Vec<_> = corpus.frames().iter().collect();
-            let pool = Pool::with_threads(threads);
-            // Every frame requested 4 times: fixed logical call count.
-            let reps: Vec<usize> = (0..4 * frames.len()).collect();
-            let _: Vec<_> = pool.parallel_map(&reps, |_, &i| {
-                cache.try_detect(frames[i % frames.len()], res).ok()
-            });
-            cache.invocations()
+            (cache.invocations(), cache.len(), counted.calls())
         };
-        let seq = run(1);
-        assert!(seq.faults_injected > 0, "plan must actually fire");
-        assert!(seq.failed_calls > 0);
-        assert!(seq.retries > 0);
-        assert!(seq.fault_time_ms > 0.0);
-        for threads in [2usize, 8, 16] {
-            let par = run(threads);
-            assert_eq!(par, seq, "accounting diverged at {threads} threads");
+
+        let (mut stored, mut poisoned, mut failed) = (0usize, 0usize, 0usize);
+        for f in corpus.frames() {
+            match CallVerdict::of(Some(&plan), f.id, res, &retry) {
+                CallVerdict::Output { poisoned: false, .. } => stored += 1,
+                CallVerdict::Output { poisoned: true, .. } => poisoned += 1,
+                CallVerdict::Timeout | CallVerdict::Exhausted => failed += 1,
+            }
         }
-        assert_eq!(
-            seq.model_time_ms,
-            seq.model_runs as f64 * smokescreen_models_cost(&yolo, res)
-        );
+        assert!(stored > 0 && poisoned > 0 && failed > 0, "plan must hit all three kinds");
+
+        let seq = run(1, false);
+        let (inv, len, calls) = seq;
+        assert_eq!(len, stored, "only storable keys are stored");
+        assert_eq!(inv.model_runs, stored + poisoned * CALLS_PER_KEY, "each poisoned call runs");
+        assert_eq!(calls, inv.model_runs, "every run is one detector call");
+        assert_eq!(inv.cache_hits, stored * (CALLS_PER_KEY - 1));
+        assert_eq!(inv.failed_calls, failed * CALLS_PER_KEY, "each failed call pays");
+        assert!(inv.retries > 0 && inv.fault_time_ms > 0.0);
+        assert_eq!(inv.model_time_ms, inv.model_runs as f64 * smokescreen_models_cost(&yolo, res));
+        for threads in [2usize, 8, 16] {
+            assert_eq!(run(threads, false), seq, "accounting diverged at {threads} threads");
+            assert_eq!(run(threads, true), seq, "accounting diverged at {threads} pool workers");
+        }
     }
 
     #[test]
-    fn memo_layer_keeps_counts_and_accounting_schedule_independent() {
-        // The contention-free read path: after a warm-up pass, repeated
-        // try_count sweeps are served from per-worker memos. Totals must
-        // stay schedule-independent (runs == distinct keys, every logical
-        // call exactly one run or one hit) and every count must equal the
-        // raw detector's, at any thread count.
+    fn warm_counts_and_accounting_are_schedule_independent() {
+        // Workers race on every cold key, then repeated try_count sweeps
+        // count by reference in the table's slots. Totals must stay
+        // schedule-independent (runs == distinct keys == detector calls,
+        // every logical call exactly one run or one hit) and every count
+        // must equal the raw detector's, at any thread count.
         let corpus = DatasetPreset::Detrac.generate(14).slice(0, 150);
         let yolo = SimYoloV4::new(14);
         let res = Resolution::square(416);
         let class = ObjectClass::Car;
         let run = |threads: usize| {
-            let cache = OutputCache::new(&yolo);
+            let counted = Counting::new(&yolo);
+            let cache = OutputCache::new(&counted, corpus.len());
             let pool = Pool::with_threads(threads);
             let frames: Vec<_> = corpus.frames().iter().collect();
             // 6 passes over every frame: 900 logical calls, 150 distinct.
@@ -494,6 +557,8 @@ mod tests {
             }
             let inv = cache.invocations();
             assert_eq!(inv.model_runs, 150, "distinct keys only at {threads} threads");
+            assert_eq!(counted.calls(), 150, "a cold key runs the model once at {threads} threads");
+            assert_eq!(inv.model_time_ms, 150.0 * smokescreen_models_cost(&yolo, res));
             assert_eq!(
                 inv.model_runs + inv.cache_hits,
                 900,
@@ -509,33 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_keys_are_never_cached_but_stay_consistent() {
-        let corpus = DatasetPreset::Detrac.generate(5).slice(0, 400);
-        let yolo = SimYoloV4::new(11);
-        let res = Resolution::square(416);
-        // Poison-only plan: every faulted call succeeds but is uncacheable.
-        let poison = FaultMix { timeout: 0.0, transient: 0.0, slow: 0.0, poison: 1.0 };
-        let plan = FaultPlan::with_stream(3, 0.2, poison);
-        let cache = OutputCache::with_faults(&yolo, plan, RetryPolicy::default());
-        for _ in 0..2 {
-            for f in corpus.frames() {
-                let got = cache.try_detect(f, res).expect("poison never fails calls");
-                assert_eq!(got, yolo.detect(f, res), "payloads are never corrupted");
-            }
-        }
-        let inv = cache.invocations();
-        assert!(inv.faults_injected > 0, "poison must fire");
-        assert_eq!(inv.failed_calls, 0);
-        // Poisoned keys re-ran on the second pass: strictly more runs than
-        // distinct cached keys, and the time identity still holds exactly.
-        assert!(inv.model_runs > cache.len());
-        assert_eq!(
-            inv.model_time_ms,
-            inv.model_runs as f64 * smokescreen_models_cost(&yolo, res)
-        );
-    }
-
-    #[test]
     fn infallible_detect_panics_with_guidance_under_faults() {
         let corpus = DatasetPreset::Detrac.generate(6).slice(0, 200);
         let yolo = SimYoloV4::new(12);
@@ -543,7 +581,7 @@ mod tests {
         // Timeout-only plan: some call will fail permanently.
         let timeouts = FaultMix { timeout: 1.0, transient: 0.0, slow: 0.0, poison: 0.0 };
         let plan = FaultPlan::with_stream(1, 0.5, timeouts);
-        let cache = OutputCache::with_faults(&yolo, plan, RetryPolicy::default());
+        let cache = OutputCache::with_faults(&yolo, corpus.len(), plan, RetryPolicy::default());
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -564,14 +602,14 @@ mod tests {
     fn worker_death_leaves_shard_accounting_consistent() {
         // Regression for the rt::pool worker-death path (companion to the
         // pool's own panic-propagation proptests): a task that dies after
-        // partial cache writes must not corrupt shard accounting — the
+        // partial cache writes must not corrupt table accounting — the
         // §5.3.1 identity model_time_ms == model_runs · T_model and
         // runs == distinct cached keys must survive the panic, and the
         // surviving entries must replay the exact detector outputs.
         let corpus = DatasetPreset::NightStreet.generate(7).slice(0, 240);
         let yolo = SimYoloV4::new(13);
         let res = Resolution::square(512);
-        let cache = OutputCache::new(&yolo);
+        let cache = OutputCache::new(&yolo, corpus.len());
         let pool = Pool::with_threads(4);
         let tasks: Vec<usize> = (0..48).collect();
         let hook = std::panic::take_hook();
@@ -603,12 +641,118 @@ mod tests {
             inv.model_runs as f64 * smokescreen_models_cost(&yolo, res),
             "model_time_ms == model_runs · T_model must survive worker death"
         );
-        // The surviving shards serve correct payloads.
+        // The surviving slots serve correct payloads.
         for i in 0..corpus.len() {
             let f = corpus.frame(i).unwrap();
             assert_eq!(cache.detect(f, res), yolo.detect(f, res));
         }
         assert_eq!(cache.invocations().model_runs, corpus.len());
+    }
+
+    #[test]
+    fn same_key_misses_wait_for_one_model_call() {
+        // Single flight: 8 threads miss on one cold key together. The
+        // first runs the (slow) model; the rest wait for its output.
+        let corpus = DatasetPreset::Detrac.generate(15).slice(0, 4);
+        let yolo = SimYoloV4::new(15);
+        let slow = Counting { delay_ms: 30, ..Counting::new(&yolo) };
+        let cache = OutputCache::new(&slow, corpus.len());
+        let (f, res) = (corpus.frame(2).unwrap(), Resolution::square(320));
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    barrier.wait();
+                    assert_eq!(cache.detect(f, res), yolo.detect(f, res));
+                });
+            }
+        });
+        assert_eq!(slow.calls(), 1, "waiters must not run the model");
+        let inv = cache.invocations();
+        assert_eq!((inv.model_runs, inv.cache_hits), (1, 7));
+    }
+
+    #[test]
+    fn a_panicking_initialiser_leaves_its_slot_empty() {
+        let corpus = DatasetPreset::Detrac.generate(17).slice(0, 8);
+        let yolo = SimYoloV4::new(17);
+        let flaky = Counting { panic_once: true.into(), ..Counting::new(&yolo) };
+        let cache = OutputCache::new(&flaky, corpus.len());
+        let (f, res) = (corpus.frame(3).unwrap(), Resolution::square(416));
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let first = catch_unwind(AssertUnwindSafe(|| cache.detect(f, res)));
+        std::panic::set_hook(hook);
+        assert!(first.is_err(), "the model's panic must reach the caller");
+        assert!(cache.is_empty(), "the slot must stay empty");
+        assert_eq!(cache.invocations().model_runs, 0);
+        assert_eq!(cache.detect(f, res), yolo.detect(f, res));
+        assert_eq!(flaky.calls(), 2, "the next caller runs the model again");
+        assert_eq!((cache.len(), cache.invocations().model_runs), (1, 1));
+    }
+
+    #[test]
+    fn release_frees_one_resolution_and_keeps_accounting() {
+        let corpus = DatasetPreset::Detrac.generate(18).slice(0, 50);
+        let yolo = SimYoloV4::new(18);
+        let cache = OutputCache::new(&yolo, corpus.len());
+        let (lo, hi) = (Resolution::square(320), Resolution::square(608));
+        let mut counts = Vec::new();
+        for res in [lo, hi] {
+            cache.try_count_each(corpus.frames(), res, ObjectClass::Car, |n| counts.push(n.unwrap()));
+        }
+        let before = cache.invocations();
+        cache.release(lo);
+        assert_eq!(cache.len(), corpus.len(), "only the released resolution is freed");
+        assert_eq!(cache.invocations(), before, "run accounting survives release");
+        for (f, &n) in corpus.frames().iter().zip(&counts[corpus.len()..]) {
+            assert_eq!(cache.count(f, hi, ObjectClass::Car), n);
+        }
+        assert_eq!(cache.invocations().model_runs, before.model_runs);
+        // A lookup after release finds a fresh table and runs the model.
+        assert_eq!(cache.count(&corpus.frames()[0], lo, ObjectClass::Car), counts[0]);
+        assert_eq!(cache.invocations().model_runs, before.model_runs + 1);
+    }
+
+    /// A detector wrapper that counts model calls, and can sleep in each
+    /// call or panic in its first.
+    struct Counting<'a> {
+        inner: &'a dyn Detector,
+        calls: std::sync::atomic::AtomicUsize,
+        delay_ms: u64,
+        panic_once: std::sync::atomic::AtomicBool,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(inner: &'a dyn Detector) -> Self {
+            let (calls, delay_ms, panic_once) = Default::default();
+            Counting { inner, calls, delay_ms, panic_once }
+        }
+
+        fn calls(&self) -> usize {
+            self.calls.load(Ordering::Relaxed)
+        }
+    }
+
+    impl Detector for Counting<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn native_resolution(&self) -> Resolution {
+            self.inner.native_resolution()
+        }
+        fn supports(&self, res: Resolution) -> bool {
+            self.inner.supports(res)
+        }
+        fn detect(&self, frame: &Frame, res: Resolution) -> Detections {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(std::time::Duration::from_millis(self.delay_ms));
+            assert!(!self.panic_once.swap(false, Ordering::Relaxed), "model died mid-call");
+            self.inner.detect(frame, res)
+        }
+        fn inference_cost_ms(&self, res: Resolution) -> f64 {
+            self.inner.inference_cost_ms(res)
+        }
     }
 
     /// Cost helper without importing the trait into every assert.

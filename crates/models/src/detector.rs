@@ -135,18 +135,12 @@ pub trait Detector: Send + Sync {
     /// of 32).
     fn supports(&self, res: Resolution) -> bool;
 
-    /// Runs the model on a frame rendered at `res`.
+    /// Runs the model on a frame rendered at `res`. Models are pure
+    /// functions and never fail; fault injection happens at the
+    /// invocation layer ([`detect_with_retry`](crate::oracle::detect_with_retry)
+    /// / [`OutputCache`](crate::cache::OutputCache)), which surfaces the
+    /// [`ModelError`] taxonomy to callers.
     fn detect(&self, frame: &Frame, res: Resolution) -> Detections;
-
-    /// Fallible model call. The simulators are pure functions and never
-    /// fail, so the default forwards to [`detect`](Self::detect); fault
-    /// injection happens at the invocation layer
-    /// ([`detect_with_retry`](crate::oracle::detect_with_retry) /
-    /// [`OutputCache`](crate::cache::OutputCache)), which surfaces this
-    /// taxonomy to callers.
-    fn try_detect(&self, frame: &Frame, res: Resolution) -> ModelResult<Detections> {
-        Ok(self.detect(frame, res))
-    }
 
     /// Convenience: count of a class at a resolution (the aggregate
     /// queries' per-frame output).

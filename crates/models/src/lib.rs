@@ -39,7 +39,7 @@ pub mod zoo;
 
 pub use cache::{Invocations, OutputCache};
 pub use detector::{Detection, Detections, Detector, ModelError, ModelResult};
-pub use oracle::{call_key, detect_with_retry, RetryOutcome, RetryPolicy};
+pub use oracle::{call_key, detect_with_retry, CallVerdict, RetryOutcome, RetryPolicy};
 pub use mask_rcnn::SimMaskRcnn;
 pub use mtcnn::SimMtcnn;
 pub use oracle::Oracle;

@@ -67,8 +67,7 @@ pub struct RetryOutcome {
     pub backoff_ms: f64,
     /// Extra simulated latency from a slow-response fault, ms.
     pub slow_ms: f64,
-    /// Whether the result's cache shard is poisoned — the caller must
-    /// not cache this output.
+    /// Whether the output is poisoned — the caller must not cache it.
     pub poisoned: bool,
 }
 
@@ -79,17 +78,72 @@ pub fn call_key(frame_id: u64, res: Resolution) -> u64 {
     frame_id ^ (u64::from(res.width) << 32) ^ (u64::from(res.height).rotate_left(16))
 }
 
-/// Runs a model call through the fault plan with retry-and-backoff.
-///
-/// * No plan, or no fault scheduled → one clean attempt.
-/// * `Transient` → attempts fail until the fault clears; if it clears
-///   within `policy.max_attempts` the call succeeds and reports its
-///   retries + simulated backoff, otherwise
-///   [`ModelError::TransientExhausted`].
-/// * `Timeout` → every attempt fails; [`ModelError::Timeout`] after
-///   `policy.max_attempts`.
-/// * `Slow` / `CachePoison` → success with the extra latency /
-///   poisoned flag reported.
+/// What a fault-aware call on one `(frame, resolution)` key does, decided
+/// before the model runs. Pure in `(plan, call key, policy)`, so
+/// [`detect_with_retry`] and the cache branch on the same verdict.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CallVerdict {
+    /// The call returns the model's output.
+    Output {
+        /// Retries spent clearing a transient fault.
+        retries: u32,
+        /// Simulated backoff charged for those retries, ms.
+        backoff_ms: f64,
+        /// Extra simulated latency from a slow-response fault, ms.
+        slow_ms: f64,
+        /// Whether the output is poisoned and must not be cached.
+        poisoned: bool,
+    },
+    /// Every attempt times out.
+    Timeout,
+    /// The transient fault outlasts the retry budget.
+    Exhausted,
+}
+
+impl CallVerdict {
+    /// The verdict on `(frame_id, res)`:
+    ///
+    /// * no plan, or no fault scheduled → one clean attempt;
+    /// * `Transient` → attempts fail until the fault clears; if it clears
+    ///   within `policy.max_attempts` the call succeeds with its retries
+    ///   and simulated backoff, otherwise it is `Exhausted`;
+    /// * `Timeout` → every attempt fails;
+    /// * `Slow` / `CachePoison` → success with the extra latency /
+    ///   poisoned flag.
+    pub fn of(
+        plan: Option<&FaultPlan>,
+        frame_id: u64,
+        res: Resolution,
+        policy: &RetryPolicy,
+    ) -> CallVerdict {
+        let output = |retries, slow_ms, poisoned| CallVerdict::Output {
+            retries,
+            backoff_ms: policy.total_backoff_ms(retries),
+            slow_ms,
+            poisoned,
+        };
+        match plan.and_then(|p| p.fault_for(call_key(frame_id, res))) {
+            None => output(0, 0.0, false),
+            Some(FaultKind::Slow { extra_ms }) => output(0, f64::from(extra_ms), false),
+            Some(FaultKind::CachePoison) => output(0, 0.0, true),
+            // Attempts 0..clears_after fail, each failure buys one backoff
+            // step; the clearing attempt succeeds.
+            Some(FaultKind::Transient { clears_after })
+                if clears_after < policy.max_attempts.max(1) =>
+            {
+                output(clears_after, 0.0, false)
+            }
+            Some(FaultKind::Transient { .. }) => CallVerdict::Exhausted,
+            Some(FaultKind::Timeout) => CallVerdict::Timeout,
+        }
+    }
+}
+
+/// Runs a model call through the fault plan with retry-and-backoff,
+/// following the key's [`CallVerdict`]: an output verdict runs the model
+/// and reports its retries, simulated backoff, latency and poison flag; a
+/// failing one surfaces [`ModelError::Timeout`] or
+/// [`ModelError::TransientExhausted`] after `policy.max_attempts`.
 ///
 /// Deterministic: the outcome is a pure function of
 /// `(detector, frame, res, plan, policy)` — thread count and timing
@@ -101,53 +155,24 @@ pub fn detect_with_retry(
     plan: Option<&FaultPlan>,
     policy: &RetryPolicy,
 ) -> ModelResult<RetryOutcome> {
-    let fault = plan.and_then(|p| p.fault_for(call_key(frame.id, res)));
-    let max_attempts = policy.max_attempts.max(1);
-    match fault {
-        None => Ok(RetryOutcome {
-            detections: detector.try_detect(frame, res)?,
-            retries: 0,
-            backoff_ms: 0.0,
-            slow_ms: 0.0,
-            poisoned: false,
+    let attempts = policy.max_attempts.max(1);
+    match CallVerdict::of(plan, frame.id, res, policy) {
+        CallVerdict::Output { retries, backoff_ms, slow_ms, poisoned } => Ok(RetryOutcome {
+            detections: detector.detect(frame, res),
+            retries,
+            backoff_ms,
+            slow_ms,
+            poisoned,
         }),
-        Some(FaultKind::Slow { extra_ms }) => Ok(RetryOutcome {
-            detections: detector.try_detect(frame, res)?,
-            retries: 0,
-            backoff_ms: 0.0,
-            slow_ms: f64::from(extra_ms),
-            poisoned: false,
-        }),
-        Some(FaultKind::CachePoison) => Ok(RetryOutcome {
-            detections: detector.try_detect(frame, res)?,
-            retries: 0,
-            backoff_ms: 0.0,
-            slow_ms: 0.0,
-            poisoned: true,
-        }),
-        Some(FaultKind::Transient { clears_after }) => {
-            if clears_after < max_attempts {
-                // Attempts 0..clears_after fail, each failure buys one
-                // backoff step; the clearing attempt succeeds.
-                Ok(RetryOutcome {
-                    detections: detector.try_detect(frame, res)?,
-                    retries: clears_after,
-                    backoff_ms: policy.total_backoff_ms(clears_after),
-                    slow_ms: 0.0,
-                    poisoned: false,
-                })
-            } else {
-                Err(ModelError::TransientExhausted {
-                    model: detector.name().to_string(),
-                    frame_id: frame.id,
-                    attempts: max_attempts,
-                })
-            }
-        }
-        Some(FaultKind::Timeout) => Err(ModelError::Timeout {
+        CallVerdict::Timeout => Err(ModelError::Timeout {
             model: detector.name().to_string(),
             frame_id: frame.id,
-            attempts: max_attempts,
+            attempts,
+        }),
+        CallVerdict::Exhausted => Err(ModelError::TransientExhausted {
+            model: detector.name().to_string(),
+            frame_id: frame.id,
+            attempts,
         }),
     }
 }
@@ -218,6 +243,18 @@ mod tests {
             let a = detect_with_retry(&o, f, res, Some(&plan), &policy);
             let b = detect_with_retry(&o, f, res, Some(&plan), &policy);
             assert_eq!(a, b, "fault outcomes must be pure in (plan, key)");
+            let verdict = CallVerdict::of(Some(&plan), f.id, res, &policy);
+            match (&a, verdict) {
+                (Ok(out), CallVerdict::Output { retries, backoff_ms, slow_ms, poisoned }) => {
+                    assert_eq!(
+                        (out.retries, out.backoff_ms, out.slow_ms, out.poisoned),
+                        (retries, backoff_ms, slow_ms, poisoned)
+                    );
+                }
+                (Err(ModelError::Timeout { .. }), CallVerdict::Timeout)
+                | (Err(ModelError::TransientExhausted { .. }), CallVerdict::Exhausted) => {}
+                (a, v) => panic!("verdict {v:?} does not predict the call's outcome {a:?}"),
+            }
             match a {
                 Ok(out) => {
                     // Faults never corrupt payloads.

@@ -52,34 +52,8 @@ pub const THREADS_ENV: &str = "SMOKESCREEN_THREADS";
 /// anything set must be a positive integer.
 pub const CHUNK_ENV: &str = "SMOKESCREEN_CHUNK";
 
-/// Number of distinct slots handed out by [`memo_slot`]. Sized so that any
-/// realistic worker count (≤ 16 in every committed configuration) maps
-/// each thread to its own slot; beyond that, slots alias and per-slot
-/// structures see benign sharing.
-pub const MEMO_SLOTS: usize = 64;
-
 /// Hard ceiling on helper threads the global registry will ever spawn.
 const MAX_POOL_THREADS: usize = 256;
-
-/// A stable per-thread slot index in `0..MEMO_SLOTS`, assigned on first
-/// use and fixed for the thread's lifetime. Per-worker caches (for
-/// example the model-output memo layer in `smokescreen-models`) key their
-/// thread-affine shards on this so steady-state reads never contend.
-pub fn memo_slot() -> usize {
-    use std::cell::Cell;
-    thread_local! {
-        static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    SLOT.with(|s| {
-        let mut v = s.get();
-        if v == usize::MAX {
-            v = NEXT.fetch_add(1, Ordering::Relaxed) % MEMO_SLOTS;
-            s.set(v);
-        }
-        v
-    })
-}
 
 /// A fixed-width handle onto the shared persistent pool.
 #[derive(Debug, Clone, Copy)]
@@ -602,18 +576,6 @@ mod tests {
         assert_eq!(Pool::with_threads(5).threads(), 5);
         assert!(Pool::new().threads() >= 1);
         assert!(auto_threads() >= 1);
-    }
-
-    #[test]
-    fn memo_slots_are_stable_per_thread_and_in_range() {
-        let first = memo_slot();
-        assert!(first < MEMO_SLOTS);
-        assert_eq!(memo_slot(), first, "slot must not move between calls");
-        let other = std::thread::spawn(|| (memo_slot(), memo_slot()))
-            .join()
-            .unwrap();
-        assert!(other.0 < MEMO_SLOTS);
-        assert_eq!(other.0, other.1);
     }
 
     #[test]

@@ -42,6 +42,12 @@ impl VideoCorpus {
         }
     }
 
+    /// The resolution frames are processed at under a requested
+    /// resolution knob: the request, or native when there is none.
+    pub fn processing_resolution(&self, requested: Option<Resolution>) -> Resolution {
+        requested.unwrap_or(self.native_resolution)
+    }
+
     /// Number of frames `N`.
     pub fn len(&self) -> usize {
         self.frames.len()

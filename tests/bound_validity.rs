@@ -193,7 +193,7 @@ fn faulted_coverage(aggregate: Aggregate, fault_rate: f64, delta: f64) -> (f64, 
     let mut total_lost = 0usize;
     for t in 0..TRIALS {
         let plan = FaultPlan::new(0xc4a0 ^ t as u64, fault_rate);
-        let cache = OutputCache::with_faults(&yolo, plan, RetryPolicy::default());
+        let cache = OutputCache::with_faults(&yolo, corpus.len(), plan, RetryPolicy::default());
         let est =
             result_error_est(&workload, &restrictions, &set, t as u64, Some(&cache)).unwrap();
         let requested = (0.03f64 * corpus.len() as f64).round() as usize;

@@ -14,6 +14,8 @@
 //! 3. **Soundness of survivors** — bounds computed over fault-surviving
 //!    samples stay valid; that half lives in `tests/bound_validity.rs`
 //!    (`bounds_*_under_injected_faults`) at 5% and 20% fault rates.
+//! 4. **Single flight** — in every run below the detector sees exactly
+//!    `model_runs` calls, at any width, with or without faults.
 //!
 //! Replay recipe: `SMOKESCREEN_FAULT_SEED` / `SMOKESCREEN_FAULT_RATE`
 //! configure the env-driven run below (see EXPERIMENTS.md "chaos
@@ -24,10 +26,11 @@ use smokescreen::core::{
     Aggregate, GenerationReport, GeneratorConfig, Profile, ProfileGenerator, Workload,
 };
 use smokescreen::degrade::{CandidateGrid, RestrictionIndex};
-use smokescreen::models::{Detector, SimMaskRcnn, SimYoloV4};
+use smokescreen::models::{Detections, Detector, SimMaskRcnn, SimYoloV4};
 use smokescreen::video::synth::DatasetPreset;
-use smokescreen::video::{ObjectClass, Resolution};
+use smokescreen::video::{Frame, ObjectClass, Resolution};
 use smokescreen_rt::fault::{FaultMix, FaultPlan, Stream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct Fixture {
     corpus: smokescreen::video::VideoCorpus,
@@ -60,20 +63,49 @@ fn fixture(dataset: DatasetPreset) -> Fixture {
     }
 }
 
+/// Counts the model calls that reach the wrapped detector.
+struct CountingDetector<'a> {
+    inner: &'a dyn Detector,
+    calls: AtomicUsize,
+}
+
+impl Detector for CountingDetector<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn native_resolution(&self) -> Resolution {
+        self.inner.native_resolution()
+    }
+    fn supports(&self, res: Resolution) -> bool {
+        self.inner.supports(res)
+    }
+    fn detect(&self, frame: &Frame, res: Resolution) -> Detections {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.detect(frame, res)
+    }
+    fn inference_cost_ms(&self, res: Resolution) -> f64 {
+        self.inner.inference_cost_ms(res)
+    }
+}
+
 fn generate(
     fx: &Fixture,
     threads: usize,
     faults: Option<FaultPlan>,
 ) -> (Profile, GenerationReport) {
+    let counted = CountingDetector {
+        inner: fx.detector.as_ref(),
+        calls: AtomicUsize::new(0),
+    };
     let workload = Workload {
         corpus: &fx.corpus,
-        detector: fx.detector.as_ref(),
+        detector: &counted,
         class: ObjectClass::Car,
         aggregate: Aggregate::Avg,
         delta: 0.05,
     };
     let restrictions = RestrictionIndex::from_ground_truth(&fx.corpus, &[ObjectClass::Person]);
-    ProfileGenerator::new(
+    let out = ProfileGenerator::new(
         &workload,
         &restrictions,
         GeneratorConfig {
@@ -84,7 +116,16 @@ fn generate(
         },
     )
     .generate(&fx.grid, None)
-    .unwrap()
+    .unwrap();
+    // Single flight: the model runs once per stored key, and a poisoned
+    // call runs it and accounts a run while a failed call does neither,
+    // so the detector sees exactly `model_runs` calls.
+    let calls = counted.calls.load(Ordering::Relaxed);
+    assert_eq!(
+        calls, out.1.model_runs,
+        "{threads} threads: detector calls != model_runs"
+    );
+    out
 }
 
 /// Deterministic (schedule-independent) slice of a report: everything
@@ -203,10 +244,9 @@ fn batched_slice_ingestion_splits_survivor_gaps_correctly() {
             // Two caches with the same plan: fault outcomes are keyed on
             // the call, not on cache history, so the slice-fetching and
             // element-fetching twins see identical losses.
-            let slice_cache =
-                OutputCache::with_faults(fx.detector.as_ref(), plan, RetryPolicy::default());
-            let elem_cache =
-                OutputCache::with_faults(fx.detector.as_ref(), plan, RetryPolicy::default());
+            let (detector, frames) = (fx.detector.as_ref(), fx.corpus.len());
+            let slice_cache = OutputCache::with_faults(detector, frames, plan, RetryPolicy::default());
+            let elem_cache = OutputCache::with_faults(detector, frames, plan, RetryPolicy::default());
             let mut sliced = AggregateKernel::new(agg);
             let mut pushed = AggregateKernel::new(agg);
             let mut survivors = Vec::new();
@@ -363,9 +403,12 @@ fn env_configured_chaos_run_is_deterministic() {
     };
     let fx = fixture(DatasetPreset::Detrac);
     let (p1, r1) = generate(&fx, 1, plan);
-    let (p8, r8) = generate(&fx, 8, plan);
-    assert_eq!(p1.to_json().unwrap(), p8.to_json().unwrap());
-    assert_eq!(chaos_fields(&r1), chaos_fields(&r8));
+    // 0 resolves SMOKESCREEN_THREADS, the width ci.sh's chaos loop sets.
+    for threads in [8, 0] {
+        let (p, r) = generate(&fx, threads, plan);
+        assert_eq!(p1.to_json().unwrap(), p.to_json().unwrap(), "{threads} threads");
+        assert_eq!(chaos_fields(&r1), chaos_fields(&r), "{threads} threads");
+    }
     match plan {
         Some(p) if p.rate() > 0.0 => {
             assert!(r1.faults_injected > 0, "armed plan must fire")

@@ -59,6 +59,37 @@ fn smoke_audit_matrix_holds_hard_invariants() {
 }
 
 #[test]
+fn committed_drift_stream_reproduces() {
+    // bench_results/ROBUST_7.json must be what a full `robust run` writes.
+    // Streams do not depend on the trial count, so one recomputes cheaply;
+    // night-street drift at rate 0.1 is the stream the window kernel's
+    // scoring moved furthest.
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("bench_results/ROBUST_7.json");
+    let committed = RobustAudit::load(&path).unwrap();
+    let cfg = AuditConfig {
+        trials: 1,
+        kinds: vec![Some(PerturbKind::Drift)],
+        rates: vec![0.1],
+        ..AuditConfig::full()
+    };
+    let fresh = run(&cfg, 7, "test".into()).streams.swap_remove(0);
+    assert_eq!((fresh.corpus.as_str(), fresh.kind.as_str()), ("night-street", "drift"));
+    let pinned = committed
+        .streams
+        .iter()
+        .find(|s| (&s.corpus, &s.kind, s.rate) == (&fresh.corpus, &fresh.kind, fresh.rate))
+        .expect("the committed file holds the night-street drift 0.1 stream");
+    assert_eq!(
+        pinned.max_score.to_bits(),
+        fresh.max_score.to_bits(),
+        "committed max_score {} != recomputed {}; re-record the file's streams",
+        pinned.max_score,
+        fresh.max_score
+    );
+    assert_eq!(pinned, &fresh);
+}
+
+#[test]
 fn audit_round_trips_through_json_and_file() {
     let cfg = AuditConfig::smoke();
     let audit = run(&cfg, 7, "test".into());

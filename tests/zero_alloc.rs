@@ -1,8 +1,8 @@
 //! Zero-alloc proof for the fraction-ladder cell path (ISSUE 8).
 //!
 //! `profile_cell` holds one reusable [`RangeOutputs`] scratch across the
-//! ladder, the cache answers warm `try_count` probes from a per-thread
-//! memo by reference, and the kernels ingest rung slices without
+//! ladder, the cache answers warm `try_count` probes by reference in its
+//! per-resolution slot table, and the kernels ingest rung slices without
 //! temporary buffers. This test pins the sum of those claims with the
 //! counting allocator from `rt::bench::alloc`: once the scratch and the
 //! cache are warm, replaying the exact ladder loop `profile_cell` runs
@@ -50,18 +50,17 @@ fn warm_cell_path_performs_no_heap_allocation() {
         3,
     )
     .unwrap();
-    let cache = OutputCache::new(&fx.yolo);
+    let cache = OutputCache::new(&fx.yolo, fx.corpus.len());
     let bounds = rung_bounds(view.len());
     let mut scratch = RangeOutputs::default();
 
     // First warm pass: runs the model once per frame and fills the
-    // shared shards. Cold inserts deliberately do NOT warm the memo.
+    // table's slots.
     for w in bounds.windows(2) {
         view.try_outputs_cached_range_into(&cache, ObjectClass::Car, w[0]..w[1], &mut scratch);
     }
-    // Second warm pass: the first shard *read* hit per key copies each
-    // entry into this thread's memo layer and grows the scratch to the
-    // largest rung it will ever be asked for.
+    // Second warm pass: every fetch is a hit, and the scratch grows to
+    // the largest rung it will ever be asked for.
     let mut warm = AggregateKernel::new(Aggregate::Avg);
     for w in bounds.windows(2) {
         view.try_outputs_cached_range_into(&cache, ObjectClass::Car, w[0]..w[1], &mut scratch);
@@ -109,12 +108,11 @@ fn presized_order_kernel_ingests_rungs_without_allocating() {
         3,
     )
     .unwrap();
-    let cache = OutputCache::new(&fx.yolo);
+    let cache = OutputCache::new(&fx.yolo, fx.corpus.len());
     let bounds = rung_bounds(view.len());
     let mut scratch = RangeOutputs::default();
 
-    // Warm the cache, the memo (second pass — read hits, not cold
-    // inserts, are what warm the memo), and the fetch scratch.
+    // Warm the cache and the fetch scratch.
     for _ in 0..2 {
         for w in bounds.windows(2) {
             view.try_outputs_cached_range_into(&cache, ObjectClass::Car, w[0]..w[1], &mut scratch);
