@@ -44,6 +44,14 @@ SMOKESCREEN_THREADS=1 cargo test -q --offline --workspace
 echo "=== test suite @ SMOKESCREEN_THREADS=8 ==="
 SMOKESCREEN_THREADS=8 cargo test -q --offline --workspace
 
+echo "=== direct JSON writer: write_json bytes == to_json().encode() at 2000 cases ==="
+# The daemon writes every reply with ToJson::write_json, without a tree;
+# clients, goldens and tools read the tree encoding. The property over
+# random profiles and every request/response variant ran at its default
+# case count above; here it runs again at 2000.
+SMOKESCREEN_PT_CASES=2000 cargo test -q --offline --test serve_write_json \
+  write_json_matches_tree_encoding
+
 echo "=== perfbench: builds against the workspace APIs, self-tests pass ==="
 # The end-to-end benchmark (perfbench/, its own workspace) compiles
 # against the smokescreen-serve protocol and rt::json public APIs, and

@@ -158,6 +158,25 @@ impl ToJson for Aggregate {
             }
         }
     }
+
+    fn write_json(&self, out: &mut String) {
+        let (name, key, value) = match *self {
+            Aggregate::Avg => return "avg".write_json(out),
+            Aggregate::Sum => return "sum".write_json(out),
+            Aggregate::Var => return "var".write_json(out),
+            Aggregate::Count { at_least } => ("count", "at_least", at_least),
+            Aggregate::Max { r } => ("max", "r", r),
+            Aggregate::Min { r } => ("min", "r", r),
+            Aggregate::Quantile { r } => ("quantile", "r", r),
+        };
+        out.push('{');
+        name.write_json(out);
+        out.push_str(":{");
+        key.write_json(out);
+        out.push(':');
+        value.write_json(out);
+        out.push_str("}}");
+    }
 }
 
 impl FromJson for Aggregate {

@@ -8,6 +8,19 @@
 //! enums with custom shapes implement the traits by hand. Numbers are
 //! `f64` (like JSON itself); integers round-trip exactly up to 2^53, far
 //! beyond any counter in this codebase.
+//!
+//! A value encodes two ways, to the same bytes:
+//!
+//! * [`ToJson::write_json`] appends the compact encoding straight to a
+//!   `String`, with no tree in between. Declared shapes, scalars and
+//!   containers write directly, members sorted by key as a [`Json::Obj`]
+//!   sorts them; the serving daemon encodes every reply this way into a
+//!   buffer it reuses.
+//! * [`ToJson::to_json`] builds a [`Json`] tree. It is what a caller
+//!   needs to inspect or edit a value before encoding it, and what the
+//!   pretty printer, the golden files and request stamping work on.
+//!   A type with only a hand-written `to_json` still gets `write_json`,
+//!   by encoding that tree.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -177,8 +190,13 @@ impl Json {
     /// Compact encoding.
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Appends the compact encoding to `out`.
+    pub fn encode_into(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Pretty encoding with two-space indentation.
@@ -196,49 +214,44 @@ impl Json {
             Json::Bool(false) => out.push_str("false"),
             Json::Num(n) => write_number(out, *n),
             Json::Str(s) => write_string(out, s),
-            Json::Arr(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
-                items[i].write(out, indent, depth + 1);
+            Json::Arr(items) => write_seq(out, indent, depth, '[', ']', items, |out, item| {
+                item.write(out, indent, depth + 1);
             }),
-            Json::Obj(map) => {
-                let entries: Vec<(&String, &Json)> = map.iter().collect();
-                write_seq(out, indent, depth, '{', '}', entries.len(), |out, i| {
-                    write_string(out, entries[i].0);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    entries[i].1.write(out, indent, depth + 1);
-                });
-            }
+            Json::Obj(map) => write_seq(out, indent, depth, '{', '}', map, |out, (key, value)| {
+                write_string(out, key);
+                out.push(':');
+                if indent.is_some() {
+                    out.push(' ');
+                }
+                value.write(out, indent, depth + 1);
+            }),
         }
     }
 }
 
-fn write_seq(
+fn write_seq<T>(
     out: &mut String,
     indent: Option<usize>,
     depth: usize,
     open: char,
     close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize),
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
 ) {
     out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
+    let mut empty = true;
+    for value in items {
+        if !empty {
             out.push(',');
         }
+        empty = false;
         if let Some(width) = indent {
             out.push('\n');
             out.extend(std::iter::repeat(' ').take(width * (depth + 1)));
         }
-        item(out, i);
+        item(out, value);
     }
-    if let Some(width) = indent {
+    if let (false, Some(width)) = (empty, indent) {
         out.push('\n');
         out.extend(std::iter::repeat(' ').take(width * depth));
     }
@@ -250,30 +263,61 @@ fn write_number(out: &mut String, n: f64) {
         // JSON has no NaN/Inf; encode as null like serde_json's lossy mode.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        let _ = write!(out, "{}", n as i64);
+        write_integer(out, n as i64);
     } else {
         // `{}` on f64 is the shortest representation that round-trips.
         let _ = write!(out, "{n}");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `n` in decimal, as `{}` would, without the formatter.
+fn write_integer(out: &mut String, n: i64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+}
+
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    // Copy each run that needs no escape in one slice. Every escaped byte
+    // is ASCII, so each run ends on a char boundary.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xF)] as char);
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -496,39 +540,56 @@ impl<'a> Parser<'a> {
     }
 
     fn hex4(&mut self) -> Result<u32> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(JsonError::new("truncated \\u escape"));
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| JsonError::new("truncated \\u escape"))?;
+        let mut code = 0;
+        for &b in digits {
+            // Only ASCII hex digits: `u32::from_str_radix` would also take
+            // a leading `+`.
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| JsonError::new("invalid \\u escape"))?;
+            code = code * 16 + digit;
         }
-        let chunk = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| JsonError::new("invalid \\u escape"))?;
-        let code =
-            u32::from_str_radix(chunk, 16).map_err(|_| JsonError::new("invalid \\u escape"))?;
         self.pos += 4;
         Ok(code)
     }
 
+    /// Consumes one or more ASCII digits; at least one must be there.
+    fn digits(&mut self, start: usize) -> Result<()> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(JsonError::new(format!("invalid number at byte {start}")));
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        Ok(())
+    }
+
+    /// RFC 8259 numbers: an optional `-`, then `0` or a digit run without
+    /// a leading zero, then optional `.digits` and `e[+-]digits`.
     fn number(&mut self) -> Result<Json> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+        } else {
+            self.digits(start)?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits(start)?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits(start)?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| JsonError::new("invalid number"))?;
@@ -547,10 +608,17 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Conversion into a [`Json`] value.
+/// Conversion into a [`Json`] value, or straight into its encoding.
 pub trait ToJson {
     /// Converts `self` into a JSON value.
     fn to_json(&self) -> Json;
+
+    /// Appends the compact encoding of `self` to `out`: the same bytes as
+    /// `self.to_json().encode()`. The default builds the tree and encodes
+    /// it; declared shapes, scalars and containers write directly.
+    fn write_json(&self, out: &mut String) {
+        self.to_json().encode_into(out);
+    }
 }
 
 /// Conversion from a [`Json`] value.
@@ -559,9 +627,23 @@ pub trait FromJson: Sized {
     fn from_json(value: &Json) -> Result<Self>;
 }
 
+impl ToJson for Json {
+    fn to_json(&self) -> Json {
+        self.clone()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.encode_into(out);
+    }
+}
+
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::Num(*self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_number(out, *self);
     }
 }
 
@@ -575,6 +657,10 @@ impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 
 impl FromJson for bool {
@@ -583,9 +669,23 @@ impl FromJson for bool {
     }
 }
 
+impl ToJson for str {
+    fn to_json(&self) -> Json {
+        Json::Str(self.to_string())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_string(out, self);
+    }
+}
+
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_string(out, self);
     }
 }
 
@@ -600,6 +700,10 @@ macro_rules! json_uint {
         impl ToJson for $t {
             fn to_json(&self) -> Json {
                 Json::Num(*self as f64)
+            }
+
+            fn write_json(&self, out: &mut String) {
+                write_number(out, *self as f64);
             }
         }
 
@@ -618,6 +722,17 @@ impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
@@ -633,6 +748,13 @@ impl<T: ToJson> ToJson for Option<T> {
             None => Json::Null,
         }
     }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 impl<T: FromJson> FromJson for Option<T> {
@@ -645,9 +767,13 @@ impl<T: FromJson> FromJson for Option<T> {
     }
 }
 
-impl<T: ToJson> ToJson for Box<T> {
+impl<T: ToJson + ?Sized> ToJson for Box<T> {
     fn to_json(&self) -> Json {
         self.as_ref().to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_ref().write_json(out);
     }
 }
 
@@ -655,6 +781,98 @@ impl<T: FromJson> FromJson for Box<T> {
     fn from_json(value: &Json) -> Result<Box<T>> {
         T::from_json(value).map(Box::new)
     }
+}
+
+/// A value that encodes as an object whose members can be listed before
+/// any is written: what [`json_codec!`] implements beside [`ToJson`], so
+/// that a `[flatten]` field's members and an enum's tag sort in among a
+/// record's own keys when it writes itself directly.
+#[doc(hidden)]
+pub trait JsonObject {
+    /// Lists every member's key with the value that writes it.
+    fn members<'a>(&'a self, members: &mut Members<'a>);
+
+    /// Writes the value of `key`, which [`JsonObject::members`] listed
+    /// with `self` as its owner.
+    fn write_member(&self, key: &str, out: &mut String);
+}
+
+impl<T: JsonObject + ?Sized> JsonObject for Box<T> {
+    fn members<'a>(&'a self, members: &mut Members<'a>) {
+        self.as_ref().members(members);
+    }
+
+    fn write_member(&self, key: &str, out: &mut String) {
+        self.as_ref().write_member(key, out);
+    }
+}
+
+/// Members held on the stack before a record of normal size spills to
+/// the heap.
+const INLINE_MEMBERS: usize = 12;
+
+/// The members of one object being written directly, keyed and owned
+/// (see [`JsonObject`]).
+#[doc(hidden)]
+pub struct Members<'a> {
+    inline: [(&'static str, &'a dyn JsonObject); INLINE_MEMBERS],
+    len: usize,
+    spill: Vec<(&'static str, &'a dyn JsonObject)>,
+}
+
+/// The owner of an unused member slot; never written.
+struct Vacant;
+
+impl JsonObject for Vacant {
+    fn members<'a>(&'a self, _: &mut Members<'a>) {}
+
+    fn write_member(&self, key: &str, _: &mut String) {
+        unreachable!("vacant member slot asked for {key:?}")
+    }
+}
+
+impl<'a> Members<'a> {
+    /// Adds the member `key`, whose value `owner` writes.
+    pub fn push(&mut self, key: &'static str, owner: &'a dyn JsonObject) {
+        if self.len < INLINE_MEMBERS {
+            self.inline[self.len] = (key, owner);
+            self.len += 1;
+        } else {
+            if self.spill.is_empty() {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push((key, owner));
+        }
+    }
+}
+
+/// Appends the compact encoding of `object` to `out`, its members in
+/// sorted key order: byte order, which is the order of [`Json::Obj`]'s
+/// `BTreeMap`.
+#[doc(hidden)]
+pub fn write_object(object: &dyn JsonObject, out: &mut String) {
+    let vacant: (&'static str, &dyn JsonObject) = ("", &Vacant);
+    let mut members = Members {
+        inline: [vacant; INLINE_MEMBERS],
+        len: 0,
+        spill: Vec::new(),
+    };
+    object.members(&mut members);
+    let listed = match members.spill.is_empty() {
+        true => &mut members.inline[..members.len],
+        false => &mut members.spill[..],
+    };
+    listed.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    out.push('{');
+    for (i, (key, owner)) in listed.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_string(out, key);
+        out.push(':');
+        owner.write_member(key, out);
+    }
+    out.push('}');
 }
 
 /// Moves the members of `value`, which must encode as an object, into
@@ -668,7 +886,9 @@ pub fn flatten_into(map: &mut BTreeMap<String, Json>, value: Json) {
 }
 
 /// Declares the JSON shape of a record or of a tagged enum once and
-/// implements both [`ToJson`] and [`FromJson`] from it.
+/// implements both [`ToJson`] and [`FromJson`] from it. `write_json`
+/// writes the members in sorted key order without building a tree, so
+/// its bytes equal `to_json().encode()`.
 ///
 /// A record lists its fields; each field's wire key is its name:
 ///
@@ -694,10 +914,12 @@ pub fn flatten_into(map: &mut BTreeMap<String, Json>, value: Json) {
 /// * `name` — the key must be present;
 /// * `name = default` — a missing key decodes as `default` (for an
 ///   `Option` field `= None` also takes `null`; `None` encodes as `null`);
-/// * `name [with module]` — `module::to_json(&T) -> Json` and
+/// * `name [with module]` — `module::to_json(&T) -> Json`,
+///   `module::write_json(&T, &mut String)` and
 ///   `module::from_json(&Json) -> Result<T>` encode the value;
 /// * `name [flatten]` — the value's object members sit beside the
-///   record's own keys, and it decodes from the whole object.
+///   record's own keys, and it decodes from the whole object. The value
+///   must itself be declared with `json_codec!` (or be a `Box` of one).
 ///
 /// Decode errors under a key are prefixed with it. The optional `check`
 /// (any `Fn(&Self) -> Result<()>`) runs on the decoded value and rejects
@@ -731,6 +953,35 @@ macro_rules! json_codec {
                 );
                 $crate::json::Json::Obj(map)
             }
+
+            fn write_json(&self, out: &mut ::std::string::String) {
+                $crate::json::write_object(self, out);
+            }
+        }
+
+        impl $crate::json::JsonObject for $ty {
+            #[allow(unused_variables)]
+            fn members<'a>(&'a self, members: &mut $crate::json::Members<'a>) {
+                members.push($tag, self);
+                match self {
+                    $($crate::json_codec!(@pat $variant $body inner) => {
+                        $crate::json_codec!(@list_variant members, self, $body inner);
+                    })*
+                }
+            }
+
+            #[allow(unused_variables)]
+            fn write_member(&self, key: &str, out: &mut ::std::string::String) {
+                match self {
+                    $($crate::json_codec!(@pat $variant $body inner) => {
+                        if key == $tag {
+                            return $crate::json::ToJson::write_json($wire, out);
+                        }
+                        $crate::json_codec!(@write_variant key, out, $body inner);
+                    })*
+                }
+                ::core::unreachable!("{key:?} is not a member of {}", ::core::stringify!($ty))
+            }
         }
 
         impl $crate::json::FromJson for $ty {
@@ -758,6 +1009,21 @@ macro_rules! json_codec {
                 let mut map = ::std::collections::BTreeMap::new();
                 $($crate::json_codec!(@put map, $field, &self.$field, [$($($codec)*)?]);)*
                 $crate::json::Json::Obj(map)
+            }
+
+            fn write_json(&self, out: &mut ::std::string::String) {
+                $crate::json::write_object(self, out);
+            }
+        }
+
+        impl $crate::json::JsonObject for $ty {
+            fn members<'a>(&'a self, members: &mut $crate::json::Members<'a>) {
+                $($crate::json_codec!(@list members, self, $field, &self.$field, [$($($codec)*)?]);)*
+            }
+
+            fn write_member(&self, key: &str, out: &mut ::std::string::String) {
+                $($crate::json_codec!(@write key, out, $field, &self.$field, [$($($codec)*)?]);)*
+                ::core::unreachable!("{key:?} is not a member of {}", ::core::stringify!($ty))
             }
         }
 
@@ -787,6 +1053,27 @@ macro_rules! json_codec {
     (@put $map:ident, $field:ident, $v:expr, [flatten]) => {
         $crate::json::flatten_into(&mut $map, $crate::json::ToJson::to_json($v));
     };
+
+    // One field into the member list of `owner`, which writes it.
+    (@list $members:ident, $owner:expr, $field:ident, $v:expr, [flatten]) => {
+        $crate::json::JsonObject::members($v, $members)
+    };
+    (@list $members:ident, $owner:expr, $field:ident, $v:expr, [$($codec:tt)*]) => {
+        $members.push(::core::stringify!($field), $owner)
+    };
+
+    // One field's value, when it is the member `key`.
+    (@write $key:ident, $out:ident, $field:ident, $v:expr, []) => {
+        if $key == ::core::stringify!($field) {
+            return $crate::json::ToJson::write_json($v, $out);
+        }
+    };
+    (@write $key:ident, $out:ident, $field:ident, $v:expr, [with $codec:ident]) => {
+        if $key == ::core::stringify!($field) {
+            return $codec::write_json($v, $out);
+        }
+    };
+    (@write $key:ident, $out:ident, $field:ident, $v:expr, [flatten]) => {};
 
     // One field out of the object `value`.
     (@take $value:ident, $field:ident, []) => {
@@ -826,6 +1113,20 @@ macro_rules! json_codec {
     (@put_variant $map:ident (flatten) $inner:ident) => {
         $crate::json::flatten_into(&mut $map, $crate::json::ToJson::to_json($inner));
     };
+    (@list_variant $members:ident, $owner:expr, {
+        $($field:ident $([$($codec:tt)*])? $(= $default:expr)?),* $(,)?
+    } $inner:ident) => {
+        $($crate::json_codec!(@list $members, $owner, $field, $field, [$($($codec)*)?]);)*
+    };
+    (@list_variant $members:ident, $owner:expr, (flatten) $inner:ident) => {
+        $crate::json::JsonObject::members($inner, $members)
+    };
+    (@write_variant $key:ident, $out:ident, {
+        $($field:ident $([$($codec:tt)*])? $(= $default:expr)?),* $(,)?
+    } $inner:ident) => {
+        $($crate::json_codec!(@write $key, $out, $field, $field, [$($($codec)*)?]);)*
+    };
+    (@write_variant $key:ident, $out:ident, (flatten) $inner:ident) => {};
     (@build $value:ident $variant:ident {
         $($field:ident $([$($codec:tt)*])? $(= $default:expr)?),* $(,)?
     }) => {
@@ -849,6 +1150,10 @@ mod tests {
         assert_eq!(Json::parse(" -12.5e2 ").unwrap(), Json::Num(-1250.0));
         assert_eq!(Json::parse(r#""a\nb\u00e9\u0041""#).unwrap(), Json::Str("a\nbéA".into()));
         assert_eq!(Json::parse(r#""é\u00e9😀\ud83d\ude00\"""#).unwrap(), Json::Str("éé😀😀\"".into()));
+        for (text, n) in [("0", 0.0), ("-0", 0.0), ("10", 10.0), ("0.5e-3", 0.0005), ("1E+2", 100.0)] {
+            assert_eq!(Json::parse(text).unwrap(), Json::Num(n), "{text}");
+        }
+        assert_eq!(Json::parse(r#""\u00AFx""#).unwrap(), Json::Str("\u{af}x".into()));
     }
 
     #[test]
@@ -865,6 +1170,8 @@ mod tests {
         for bad in [
             "", "{", "[1,", "{\"a\":}", "nul", "01x", "\"unterminated",
             "[1] trailing", "{\"a\" 1}", "\"\\q\"", "\"é\u{1}\"", "\"é😀\n\"",
+            // RFC 8259 numbers and `\u` escapes, nothing looser.
+            "01", "00", "-01.5", "1.", "-.5", "1.e5", "-", "1e", "[01]", "\"\\u+041\"",
         ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
@@ -883,6 +1190,36 @@ mod tests {
         for text in [v.encode(), v.encode_pretty()] {
             assert_eq!(Json::parse(&text).unwrap(), v);
         }
+    }
+
+    #[test]
+    fn direct_writes_match_tree_encoding() {
+        fn same(value: &(impl ToJson + ?Sized)) {
+            let mut out = String::from("prefix");
+            value.write_json(&mut out);
+            assert_eq!(out, format!("prefix{}", value.to_json().encode()));
+        }
+        let big = 2f64.powi(53);
+        for n in [0.0, -0.0, 7.0, -42.0, big - 1.0, 1.0 - big, big, 1e300, -2.5e-8, 0.1, f64::NAN] {
+            same(&n);
+            let mut out = String::new();
+            n.write_json(&mut out);
+            assert!(n.is_nan() || Json::parse(&out).unwrap() == Json::Num(n), "{out}");
+        }
+        for n in [0u64, 9, 10, 1 << 53, u64::MAX] {
+            same(&n);
+        }
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for s in ["", "plain", "é\"\u{1}naïve\t😀\\😀", "\u{7f}/", "tail\\", &controls] {
+            same(s);
+            same(&Some(s.to_string()));
+            let mut out = String::new();
+            s.write_json(&mut out);
+            assert_eq!(Json::parse(&out).unwrap(), Json::Str(s.into()), "{out}");
+        }
+        same(&vec![vec![true, false], vec![]]);
+        same(&None::<f64>);
+        same(&Json::obj([("b", Json::Arr(vec![])), ("a", Json::obj([]))]));
     }
 
     #[test]
@@ -959,6 +1296,10 @@ mod tests {
             Json::Str(format!("{v:x}"))
         }
 
+        pub fn write_json(v: &u64, out: &mut String) {
+            to_json(v).encode_into(out);
+        }
+
         pub fn from_json(value: &Json) -> Result<u64> {
             u64::from_str_radix(value.as_str()?, 16).map_err(|e| JsonError::new(e.to_string()))
         }
@@ -998,6 +1339,9 @@ mod tests {
         let put = |seq| Msg::Put { rec: rec.clone(), seq };
         for msg in [put(Some(4)), put(None), flat, Msg::Ping] {
             let text = msg.to_json().encode();
+            let mut direct = String::new();
+            msg.write_json(&mut direct);
+            assert_eq!(direct, text, "direct write sorts flattened members and the tag");
             assert_eq!(Msg::from_json(&Json::parse(&text).unwrap()).unwrap(), msg, "{text}");
         }
         for (text, needle) in [

@@ -85,15 +85,39 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, FrameError> {
     }
 }
 
-/// Writes one frame (length prefix + encoded JSON) and flushes.
-pub fn write_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
-    let body = json.encode();
-    debug_assert!(body.len() <= MAX_FRAME_LEN, "server produced oversized frame");
-    let mut buf = Vec::with_capacity(4 + body.len());
-    buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    buf.extend_from_slice(body.as_bytes());
-    w.write_all(&buf)?;
-    w.flush()
+/// Writes one frame (length prefix + encoded JSON) and flushes. A sender
+/// of many frames keeps a [`FrameBuf`] instead.
+pub fn write_frame(w: &mut impl Write, value: &(impl ToJson + ?Sized)) -> io::Result<()> {
+    FrameBuf::default().write(w, value)
+}
+
+/// Buffers a sender reuses to encode its frames: after the first few
+/// frames, encoding one allocates nothing.
+#[derive(Debug, Default)]
+pub struct FrameBuf {
+    body: String,
+    frame: Vec<u8>,
+}
+
+impl FrameBuf {
+    /// Encodes `value` as one frame, length prefix then compact JSON
+    /// written by [`ToJson::write_json`], and returns its bytes.
+    pub fn encode(&mut self, value: &(impl ToJson + ?Sized)) -> &[u8] {
+        self.body.clear();
+        value.write_json(&mut self.body);
+        debug_assert!(self.body.len() <= MAX_FRAME_LEN, "produced an oversized frame");
+        self.frame.clear();
+        self.frame.extend_from_slice(&(self.body.len() as u32).to_le_bytes());
+        self.frame.extend_from_slice(self.body.as_bytes());
+        &self.frame
+    }
+
+    /// Encodes `value` as one frame, sends it in one `write_all` and
+    /// flushes.
+    pub fn write(&mut self, w: &mut impl Write, value: &(impl ToJson + ?Sized)) -> io::Result<()> {
+        w.write_all(self.encode(value))?;
+        w.flush()
+    }
 }
 
 enum Fill {
@@ -195,6 +219,10 @@ impl ToJson for ErrorCode {
     fn to_json(&self) -> Json {
         Json::Str(self.as_str().into())
     }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
 }
 
 impl FromJson for ErrorCode {
@@ -233,6 +261,15 @@ mod hex_id {
 
     pub fn to_json(id: &u64) -> Json {
         Json::Str(format!("{id:016x}"))
+    }
+
+    pub fn write_json(id: &u64, out: &mut String) {
+        out.push('"');
+        for shift in (0..16).rev() {
+            let nibble = (id >> (4 * shift)) as u32 & 0xF;
+            out.push(char::from_digit(nibble, 16).expect("a nibble is a hex digit"));
+        }
+        out.push('"');
     }
 
     pub fn from_json(value: &Json) -> json::Result<u64> {
@@ -593,6 +630,13 @@ impl Response {
 /// schema golden (`tests/serve_protocol_schema.rs`) to pin the protocol:
 /// any key added, removed, or re-typed shows up as a schema diff.
 pub fn representative_frames() -> Vec<(&'static str, Json)> {
+    let messages = representative_messages().into_iter();
+    messages.map(|(name, message)| (name, message.to_json())).collect()
+}
+
+/// The requests and responses behind [`representative_frames`], before
+/// encoding: the typed values a sender writes.
+pub fn representative_messages() -> Vec<(&'static str, Box<dyn ToJson>)> {
     use smokescreen_core::Aggregate;
     use smokescreen_degrade::InterventionSet;
     use smokescreen_video::{ObjectClass, Resolution};
@@ -676,8 +720,8 @@ pub fn representative_frames() -> Vec<(&'static str, Json)> {
         ("response.error", Response::error(ErrorCode::Overloaded, "queue full")),
         ("response.bye", Response::Bye),
     ];
-    let requests = requests.into_iter().map(|(name, r)| (name, r.to_json()));
-    requests.chain(responses.into_iter().map(|(name, r)| (name, r.to_json()))).collect()
+    let requests = requests.into_iter().map(|(name, r)| (name, Box::new(r) as Box<dyn ToJson>));
+    requests.chain(responses.into_iter().map(|(name, r)| (name, Box::new(r) as _))).collect()
 }
 
 #[cfg(test)]
@@ -877,9 +921,12 @@ mod tests {
     fn representative_frames_cover_every_shape() {
         let frames = representative_frames();
         assert_eq!(frames.len(), 14, "7 request + 7 response shapes");
-        // Every frame fits the wire and re-parses byte-exactly.
-        for (name, json) in &frames {
+        // Every frame fits the wire and re-parses byte-exactly, and one
+        // reused buffer frames the typed messages to the same bytes.
+        let mut reply = FrameBuf::default();
+        for ((name, json), (_, message)) in frames.iter().zip(representative_messages()) {
             let bytes = frame_bytes(json);
+            assert_eq!(reply.encode(&*message), &bytes[..], "{name} framed from its typed value");
             assert!(bytes.len() <= 4 + MAX_FRAME_LEN, "{name} fits a frame");
             let mut stream = Cursor::new(bytes);
             assert_eq!(read_frame(&mut stream).unwrap().as_ref(), Some(json));

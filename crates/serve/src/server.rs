@@ -60,8 +60,8 @@ use smokescreen_rt::pool::Pool;
 use smokescreen_video::Resolution;
 
 use crate::protocol::{
-    frame_rid, read_frame, write_frame, DriftStatus, ErrorCode, FrameError, Request, Response,
-    ServerStats, REPAIR_QUEUE_LIST_CAP,
+    frame_rid, read_frame, write_frame, DriftStatus, ErrorCode, FrameBuf, FrameError, Request,
+    Response, ServerStats, REPAIR_QUEUE_LIST_CAP,
 };
 use crate::store::{
     CompactionReport, GetOutcome, ProfileStore, StoreKey, StoreReplay, DEFAULT_CACHE_CAP,
@@ -198,7 +198,7 @@ impl Connection {
 
     /// Sends one request frame.
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
-        write_frame(&mut self.stream, &request.to_json())
+        write_frame(&mut self.stream, request)
     }
 
     /// Receives one response frame.
@@ -746,7 +746,7 @@ fn acceptor_loop(listener: &Listener, shared: &Shared) {
                     let mut stream = stream;
                     let _ = write_frame(
                         &mut stream,
-                        &Response::error(ErrorCode::Overloaded, "admission queue full").to_json(),
+                        &Response::error(ErrorCode::Overloaded, "admission queue full"),
                     );
                     // Dropping the stream closes the rejected connection.
                 } else {
@@ -764,8 +764,10 @@ fn acceptor_loop(listener: &Listener, shared: &Shared) {
     shared.queue_ready.notify_all();
 }
 
-/// Worker task: own one connection at a time until drained.
+/// Worker task: own one connection at a time until drained. Every reply
+/// the worker sends is encoded in its one reused [`FrameBuf`].
 fn worker_loop(shared: &Shared) {
+    let mut reply = FrameBuf::default();
     loop {
         let next = {
             let mut queue = lock(&shared.queue);
@@ -784,7 +786,7 @@ fn worker_loop(shared: &Shared) {
             }
         };
         match next {
-            Some(stream) => serve_connection(stream, shared),
+            Some(stream) => serve_connection(stream, shared, &mut reply),
             None => return,
         }
     }
@@ -825,7 +827,7 @@ fn rotate_if_contended(stream: Stream, shared: &Shared) -> Option<Stream> {
 
 /// Serves one connection until it closes, errors, rotates out behind a
 /// contended admission queue, or the server drains.
-fn serve_connection(mut stream: Stream, shared: &Shared) {
+fn serve_connection(mut stream: Stream, shared: &Shared, reply: &mut FrameBuf) {
     loop {
         if shared.kill.load(Ordering::SeqCst) {
             return;
@@ -856,8 +858,7 @@ fn serve_connection(mut stream: Stream, shared: &Shared) {
                         }
                         NetFaultKind::PartialResponse { keep_frac } => {
                             let (response, _) = handle_frame(shared, &json);
-                            let mut frame = Vec::new();
-                            let _ = write_frame(&mut frame, &response.to_json());
+                            let frame = reply.encode(&response);
                             let keep =
                                 ((frame.len() as f64 * keep_frac) as usize).clamp(1, frame.len() - 1);
                             let _ = stream.write_all(&frame[..keep]);
@@ -873,7 +874,7 @@ fn serve_connection(mut stream: Stream, shared: &Shared) {
                     }
                 }
                 let (response, close) = handle_frame(shared, &json);
-                let sent = respond(&mut stream, shared, &response);
+                let sent = respond(&mut stream, shared, reply, &response);
                 if close || sent.is_err() {
                     return;
                 }
@@ -897,6 +898,7 @@ fn serve_connection(mut stream: Stream, shared: &Shared) {
                 let _ = respond(
                     &mut stream,
                     shared,
+                    reply,
                     &Response::error(
                         ErrorCode::Oversized,
                         format!("frame claims {claimed} bytes (max {})", crate::protocol::MAX_FRAME_LEN),
@@ -912,6 +914,7 @@ fn serve_connection(mut stream: Stream, shared: &Shared) {
                 if respond(
                     &mut stream,
                     shared,
+                    reply,
                     &Response::error(ErrorCode::Malformed, message),
                 )
                 .is_err()
@@ -923,12 +926,17 @@ fn serve_connection(mut stream: Stream, shared: &Shared) {
     }
 }
 
-/// Writes a response frame and counts it. When `crash_after` is armed,
-/// reaching the threshold trips the kill flag *after* this answer went
-/// out — the crash happens between acks, exactly the window a
-/// supervisor restart must not lose writes in.
-fn respond(stream: &mut Stream, shared: &Shared, response: &Response) -> io::Result<()> {
-    write_frame(stream, &response.to_json())?;
+/// Writes a response frame, encoded in `reply`, and counts it. When
+/// `crash_after` is armed, reaching the threshold trips the kill flag
+/// *after* this answer went out — the crash happens between acks,
+/// exactly the window a supervisor restart must not lose writes in.
+fn respond(
+    stream: &mut Stream,
+    shared: &Shared,
+    reply: &mut FrameBuf,
+    response: &Response,
+) -> io::Result<()> {
+    reply.write(stream, response)?;
     let answered = shared.requests.fetch_add(1, Ordering::SeqCst) + 1;
     if let Some(limit) = shared.crash_after {
         if answered >= limit {
@@ -954,51 +962,38 @@ fn handle_frame(shared: &Shared, json: &Json) -> (Response, bool) {
     match request {
         Request::GetProfile { key } => {
             let mut state = lock(&shared.state);
-            match state.store.get_outcome(key) {
-                Ok(GetOutcome::Hit { seq, profile }) => {
-                    let drift = state.monitors.get(&key).and_then(MonitorSlot::status);
-                    let stale = drift.as_ref().is_some_and(|d| d.stale);
-                    if stale {
-                        // Latched drift observed on a served key: flag
-                        // for re-profiling.
-                        state.repair_queue.insert(key);
-                    }
-                    // Degraded mode: part of the store is quarantined
-                    // pending repair. This answer is verified bytes, but
-                    // the serving context is impaired — say so, keep
-                    // serving.
-                    let degraded = state.store.quarantine_pending() > 0;
-                    if degraded {
-                        shared.degraded_answers.fetch_add(1, Ordering::SeqCst);
-                    }
-                    (
-                        Response::Profile {
-                            key,
-                            seq,
-                            profile: (*profile).clone(),
-                            drift,
-                            stale,
-                            degraded,
-                        },
-                        false,
-                    )
-                }
-                Ok(GetOutcome::Miss) => (not_found(key), false),
+            let (seq, profile) = match state.store.get_outcome(key) {
+                Ok(GetOutcome::Hit { seq, profile }) => (seq, profile),
+                Ok(GetOutcome::Miss) => return (not_found(key), false),
                 Ok(GetOutcome::Quarantined) => {
                     shared.degraded_answers.fetch_add(1, Ordering::SeqCst);
-                    (
-                        Response::error(
-                            ErrorCode::Quarantined,
-                            format!(
-                                "record for camera {:016x} grid {:016x} is quarantined pending repair; retry",
-                                key.camera, key.grid
-                            ),
-                        ),
-                        false,
-                    )
+                    let message = format!(
+                        "record for camera {:016x} grid {:016x} is quarantined pending repair; retry",
+                        key.camera, key.grid
+                    );
+                    return (Response::error(ErrorCode::Quarantined, message), false);
                 }
-                Err(e) => (Response::error(ErrorCode::Store, e.to_string()), false),
+                Err(e) => return (Response::error(ErrorCode::Store, e.to_string()), false),
+            };
+            let drift = state.monitors.get(&key).and_then(MonitorSlot::status);
+            let stale = drift.as_ref().is_some_and(|d| d.stale);
+            if stale {
+                // Latched drift observed on a served key: flag for
+                // re-profiling.
+                state.repair_queue.insert(key);
             }
+            // Degraded mode: part of the store is quarantined pending
+            // repair. This answer is verified bytes, but the serving
+            // context is impaired — say so, keep serving.
+            let degraded = state.store.quarantine_pending() > 0;
+            if degraded {
+                shared.degraded_answers.fetch_add(1, Ordering::SeqCst);
+            }
+            // The `Arc` keeps the record alive: copy it after the other
+            // worker and the scrubber can have the lock back.
+            drop(state);
+            let profile = (*profile).clone();
+            (Response::Profile { key, seq, profile, drift, stale, degraded }, false)
         }
         Request::PutProfile {
             key,

@@ -140,3 +140,44 @@ fn presized_order_kernel_ingests_rungs_without_allocating() {
         "pre-sized MAX cell path allocated in steady state"
     );
 }
+
+#[test]
+fn warm_reply_buffer_encodes_profile_and_tradeoff_replies_without_allocating() {
+    // The daemon encodes each reply with `write_json` into a `FrameBuf`
+    // its worker reuses. Once that buffer has held the largest reply, the
+    // served profile and tradeoff replies encode without touching the
+    // heap: no tree, no owned keys, no per-member list for records of
+    // normal size.
+    use smokescreen_bench::serve_client::sample_profile;
+    use smokescreen_serve::protocol::FrameBuf;
+    use smokescreen_serve::{DriftStatus, Response, StoreKey};
+
+    let profile = sample_profile(42, 12);
+    let drift = DriftStatus {
+        score: 2.5,
+        windows_scored: 12,
+        windows_flagged: 1,
+        stale: true,
+        widen: 1.25,
+    };
+    let replies = [
+        Response::Profile {
+            key: StoreKey::new(0x00c5_a2e1_9f03_4b77, 42),
+            seq: 3,
+            profile: profile.clone(),
+            drift: Some(drift),
+            stale: true,
+            degraded: false,
+        },
+        Response::Tradeoff { matches: profile.points },
+    ];
+    let mut reply = FrameBuf::default();
+    for response in &replies {
+        reply.encode(response);
+    }
+    for response in &replies {
+        let (stats, len) = alloc::measure(|| reply.encode(response).len());
+        assert_eq!(len, 4 + response.to_json().encode().len());
+        assert_eq!(stats, alloc::AllocStats::default(), "encoding {response:?} allocated");
+    }
+}
