@@ -52,6 +52,13 @@ echo "=== direct JSON writer: write_json bytes == to_json().encode() at 2000 cas
 SMOKESCREEN_PT_CASES=2000 cargo test -q --offline --test serve_write_json \
   write_json_matches_tree_encoding
 
+echo "=== JSON tree: Json::parse(v.encode()) == v for random trees at 2000 cases ==="
+# Objects are one sorted member vector with inline keys. The property
+# also parses each tree from a text with every object's members reversed
+# and a decoy member per key that the later one must override.
+SMOKESCREEN_PT_CASES=2000 cargo test -q --offline -p smokescreen-rt --lib \
+  json::tests::parse_round_trips_random_trees
+
 echo "=== perfbench: builds against the workspace APIs, self-tests pass ==="
 # The end-to-end benchmark (perfbench/, its own workspace) compiles
 # against the smokescreen-serve protocol and rt::json public APIs, and

@@ -9,21 +9,33 @@
 //! `f64` (like JSON itself); integers round-trip exactly up to 2^53, far
 //! beyond any counter in this codebase.
 //!
+//! An object's members are a [`Map`]: one vector of `(Key, Json)` pairs,
+//! sorted by key bytes with no key twice. That is the order a
+//! `BTreeMap<String, Json>` keeps, so every encoding is deterministic, and
+//! a later member with a key already present replaces the earlier one. A
+//! [`Key`] of up to 22 bytes — every key of the wire protocol, the
+//! profiles and the journals — lives inside the pair, so an object costs
+//! one allocation for its members, not one per key. Members are compared
+//! and looked up as bytes. The parser collects the members
+//! of every open object on one stack and moves each object's own into a
+//! vector of exact size at its `}`, sorting only when they arrived out of
+//! order; a key with no escape is copied straight from the input.
+//!
 //! A value encodes two ways, to the same bytes:
 //!
 //! * [`ToJson::write_json`] appends the compact encoding straight to a
 //!   `String`, with no tree in between. Declared shapes, scalars and
-//!   containers write directly, members sorted by key as a [`Json::Obj`]
-//!   sorts them; the serving daemon encodes every reply this way into a
-//!   buffer it reuses.
+//!   containers write directly, members sorted by key as a [`Map`] sorts
+//!   them; the serving daemon encodes every reply this way into a buffer
+//!   it reuses.
 //! * [`ToJson::to_json`] builds a [`Json`] tree. It is what a caller
 //!   needs to inspect or edit a value before encoding it, and what the
 //!   pretty printer, the golden files and request stamping work on.
 //!   A type with only a hand-written `to_json` still gets `write_json`,
 //!   by encoding that tree.
 
-use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
+use std::ops::Deref;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,9 +50,227 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object. Keys are kept sorted (BTreeMap) so encoding is
+    /// An object. Members are kept sorted by key so encoding is
     /// deterministic — byte-identical output for equal values.
-    Obj(BTreeMap<String, Json>),
+    Obj(Map),
+}
+
+/// Longest [`Key`] held inline, without a heap allocation: with its
+/// length byte and the enum tag, an inline key fills the 24 bytes a
+/// `Box<str>` key needs anyway.
+const INLINE_KEY_LEN: usize = 22;
+
+/// The key of an object member. Text of up to 22 bytes is stored
+/// inline; longer text is stored as a `Box<str>`. Keys compare
+/// and order by their bytes, which is `str`'s order.
+#[derive(Clone)]
+pub struct Key(KeyText);
+
+#[derive(Clone)]
+enum KeyText {
+    /// The length, then that many bytes of UTF-8.
+    Inline(u8, [u8; INLINE_KEY_LEN]),
+    Heap(Box<str>),
+}
+
+impl Key {
+    /// The key as text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            KeyText::Inline(..) => std::str::from_utf8(self.as_bytes())
+                .expect("an inline key is copied from a whole str"),
+            KeyText::Heap(text) => text,
+        }
+    }
+
+    /// The key's UTF-8 bytes, without validating them again.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            KeyText::Inline(len, bytes) => &bytes[..usize::from(*len)],
+            KeyText::Heap(text) => text.as_bytes(),
+        }
+    }
+}
+
+impl From<&str> for Key {
+    fn from(text: &str) -> Key {
+        if text.len() > INLINE_KEY_LEN {
+            return Key(KeyText::Heap(text.into()));
+        }
+        let mut bytes = [0; INLINE_KEY_LEN];
+        bytes[..text.len()].copy_from_slice(text.as_bytes());
+        Key(KeyText::Inline(text.len() as u8, bytes))
+    }
+}
+
+impl From<String> for Key {
+    fn from(text: String) -> Key {
+        match text.len() > INLINE_KEY_LEN {
+            true => Key(KeyText::Heap(text.into_boxed_str())),
+            false => Key::from(text.as_str()),
+        }
+    }
+}
+
+impl Deref for Key {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl fmt::Debug for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// The members of a [`Json::Obj`]: one vector of `(key, value)` pairs,
+/// sorted by key bytes, with no key twice. Wherever members arrive with a
+/// key already present — [`Map::insert`], [`Extend`], [`FromIterator`],
+/// a parsed document — the later member wins, as with
+/// `BTreeMap::insert`.
+#[derive(Clone, Default, PartialEq)]
+pub struct Map(Vec<(Key, Json)>);
+
+impl Map {
+    /// An empty object.
+    pub fn new() -> Map {
+        Map(Vec::new())
+    }
+
+    /// The number of members.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether there are no members.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The value of the member `key`. A scan from the front: for the
+    /// small records this workspace decodes, comparing bytes that mostly
+    /// differ in length beats a binary search.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        let key = key.as_bytes();
+        self.0.iter().find(|(k, _)| k.as_bytes() == key).map(|(_, v)| v)
+    }
+
+    /// Sets the member `key` to `value`, returning the value it replaced.
+    pub fn insert(&mut self, key: impl Into<Key>, value: Json) -> Option<Json> {
+        let key = key.into();
+        match self.0.binary_search_by(|(k, _)| k.as_bytes().cmp(key.as_bytes())) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
+            Err(i) => {
+                self.0.insert(i, (key, value));
+                None
+            }
+        }
+    }
+
+    /// The members in key order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(self.0.iter())
+    }
+
+    /// The values in key order, for editing in place.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Json> {
+        self.0.iter_mut().map(|(_, v)| v)
+    }
+
+    /// Makes members in any order a map: a stable sort keeps members
+    /// with equal keys in arrival order, and the last of them is kept.
+    /// Members already in order — what this module's encoders write — are
+    /// only checked.
+    fn from_members(mut members: Vec<(Key, Json)>) -> Map {
+        if !members.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            members.sort_by(|a, b| a.0.cmp(&b.0));
+            members.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    std::mem::swap(&mut later.1, &mut kept.1);
+                }
+                same
+            });
+        }
+        Map(members)
+    }
+}
+
+impl fmt::Debug for Map {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<K: Into<Key>> FromIterator<(K, Json)> for Map {
+    fn from_iter<I: IntoIterator<Item = (K, Json)>>(members: I) -> Map {
+        Map::from_members(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+impl<K: Into<Key>> Extend<(K, Json)> for Map {
+    fn extend<I: IntoIterator<Item = (K, Json)>>(&mut self, members: I) {
+        let mut all = std::mem::take(&mut self.0);
+        all.extend(members.into_iter().map(|(k, v)| (k.into(), v)));
+        *self = Map::from_members(all);
+    }
+}
+
+impl IntoIterator for Map {
+    type Item = (Key, Json);
+    type IntoIter = std::vec::IntoIter<(Key, Json)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a Map {
+    type Item = (&'a Key, &'a Json);
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// The members of a [`Map`] in key order, by reference.
+#[derive(Debug, Clone)]
+pub struct Iter<'a>(std::slice::Iter<'a, (Key, Json)>);
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a Key, &'a Json);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, v)| (k, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
 }
 
 /// Error from parsing or mapping JSON.
@@ -75,12 +305,7 @@ pub type Result<T> = std::result::Result<T, JsonError>;
 impl Json {
     /// Builds an object from key/value pairs.
     pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::Obj(pairs.into_iter().collect())
     }
 
     /// Member lookup on an object; errors on missing keys or non-objects.
@@ -171,9 +396,11 @@ impl Json {
     /// instead of decoding to infinity.
     pub fn parse(input: &str) -> Result<Json> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
+            members: Vec::new(),
         };
         p.skip_ws();
         let value = p.value()?;
@@ -327,9 +554,17 @@ fn write_string(out: &mut String, s: &str) {
 pub const MAX_PARSE_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    /// The input. A slice of it between ASCII delimiters is a `&str`
+    /// after a char-boundary check, with no UTF-8 scan.
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// The members of every object still open, innermost last: each
+    /// object pushes its own here and moves them out at its `}`, so a
+    /// parse grows one stack instead of a vector per object.
+    members: Vec<(Key, Json)>,
 }
 
 impl<'a> Parser<'a> {
@@ -431,32 +666,49 @@ impl<'a> Parser<'a> {
     fn object(&mut self) -> Result<Json> {
         self.expect(b'{')?;
         self.descend()?;
-        let mut map = BTreeMap::new();
+        let base = self.members.len();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Obj(map));
+            return Ok(Json::Obj(Map::new()));
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.key()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            map.insert(key, value);
+            self.members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(Json::Obj(map));
+                    let members = self.members.drain(base..).collect();
+                    return Ok(Json::Obj(Map::from_members(members)));
                 }
                 _ => return Err(JsonError::new(format!("expected ',' or '}}' at byte {}", self.pos))),
             }
         }
+    }
+
+    /// An object key. A key with no escape is copied straight from the
+    /// input; any other is read as a string first.
+    fn key(&mut self) -> Result<Key> {
+        let start = self.pos + 1;
+        if self.peek() == Some(b'"') {
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+            if let Some(len) = run.filter(|&len| self.bytes[start + len] == b'"') {
+                self.pos = start + len + 1;
+                return Ok(Key::from(&self.text[start..start + len]));
+            }
+        }
+        self.string().map(Key::from)
     }
 
     fn string(&mut self) -> Result<String> {
@@ -517,9 +769,9 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Copy the run up to the next quote, backslash or
-                    // control byte in one slice. The input came from a
-                    // `&str` and every stop byte is ASCII, so the run ends
-                    // on a char boundary.
+                    // control byte in one slice. It starts after an ASCII
+                    // byte and every stop byte is ASCII, so it is a slice
+                    // of the input `&str` on char boundaries.
                     let start = self.pos;
                     while let Some(&b) = self.bytes.get(self.pos) {
                         if b == b'"' || b == b'\\' || b < 0x20 {
@@ -530,10 +782,7 @@ impl<'a> Parser<'a> {
                     if self.pos == start {
                         return Err(JsonError::new("unescaped control character in string"));
                     }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| JsonError::new("invalid utf-8 in string"))?,
-                    );
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -591,8 +840,7 @@ impl<'a> Parser<'a> {
             }
             self.digits(start)?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::new("invalid number"))?;
+        let text = &self.text[start..self.pos];
         let n: f64 = text
             .parse()
             .map_err(|_| JsonError::new(format!("invalid number {text:?} at byte {start}")))?;
@@ -847,8 +1095,7 @@ impl<'a> Members<'a> {
 }
 
 /// Appends the compact encoding of `object` to `out`, its members in
-/// sorted key order: byte order, which is the order of [`Json::Obj`]'s
-/// `BTreeMap`.
+/// sorted key order: byte order, which is the order of a [`Map`].
 #[doc(hidden)]
 pub fn write_object(object: &dyn JsonObject, out: &mut String) {
     let vacant: (&'static str, &dyn JsonObject) = ("", &Vacant);
@@ -878,7 +1125,7 @@ pub fn write_object(object: &dyn JsonObject, out: &mut String) {
 /// Moves the members of `value`, which must encode as an object, into
 /// `map`: the encoding of a `[flatten]` field in [`json_codec!`].
 #[doc(hidden)]
-pub fn flatten_into(map: &mut BTreeMap<String, Json>, value: Json) {
+pub fn flatten_into(map: &mut Map, value: Json) {
     match value {
         Json::Obj(members) => map.extend(members),
         other => unreachable!("a flattened field encodes as an object, got {}", other.kind()),
@@ -940,17 +1187,14 @@ macro_rules! json_codec {
     ) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
-                let mut map = ::std::collections::BTreeMap::new();
+                let mut map = $crate::json::Map::new();
                 let wire: &str = match self {
                     $($crate::json_codec!(@pat $variant $body inner) => {
                         $crate::json_codec!(@put_variant map $body inner);
                         $wire
                     })*
                 };
-                map.insert(
-                    ::std::string::String::from($tag),
-                    $crate::json::Json::Str(::std::string::String::from(wire)),
-                );
+                map.insert($tag, $crate::json::Json::Str(::std::string::String::from(wire)));
                 $crate::json::Json::Obj(map)
             }
 
@@ -1006,7 +1250,7 @@ macro_rules! json_codec {
     ) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
-                let mut map = ::std::collections::BTreeMap::new();
+                let mut map = $crate::json::Map::new();
                 $($crate::json_codec!(@put map, $field, &self.$field, [$($($codec)*)?]);)*
                 $crate::json::Json::Obj(map)
             }
@@ -1042,13 +1286,10 @@ macro_rules! json_codec {
 
     // One field into the object `map`.
     (@put $map:ident, $field:ident, $v:expr, []) => {
-        $map.insert(
-            ::std::string::String::from(::core::stringify!($field)),
-            $crate::json::ToJson::to_json($v),
-        );
+        $map.insert(::core::stringify!($field), $crate::json::ToJson::to_json($v));
     };
     (@put $map:ident, $field:ident, $v:expr, [with $codec:ident]) => {
-        $map.insert(::std::string::String::from(::core::stringify!($field)), $codec::to_json($v));
+        $map.insert(::core::stringify!($field), $codec::to_json($v));
     };
     (@put $map:ident, $field:ident, $v:expr, [flatten]) => {
         $crate::json::flatten_into(&mut $map, $crate::json::ToJson::to_json($v));
@@ -1352,6 +1593,151 @@ mod tests {
         ] {
             let err = Msg::from_json(&Json::parse(text).unwrap()).unwrap_err().to_string();
             assert!(err.contains(needle), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn later_duplicate_members_win() {
+        let parsed = Json::parse(r#"{"a":1,"b":2,"a":3}"#).unwrap();
+        assert_eq!(parsed.encode(), r#"{"a":3,"b":2}"#);
+        let built: Map = [("k", Json::Num(1.0)), ("k", Json::Num(2.0))].into_iter().collect();
+        assert_eq!(built.get("k"), Some(&Json::Num(2.0)));
+        assert_eq!(built.len(), 1);
+        let mut map = built.clone();
+        assert_eq!(map.insert("k", Json::Null), Some(Json::Num(2.0)));
+        assert_eq!(map.insert(String::from("j"), Json::Null), None);
+        map.extend([("j", Json::Bool(true)), ("l", Json::Null)]);
+        assert_eq!(Json::Obj(map).encode(), r#"{"j":true,"k":null,"l":null}"#);
+    }
+
+    #[test]
+    fn members_out_of_order_come_back_sorted() {
+        let parsed = Json::parse(r#"{"z":1,"é":[],"a":{"y":null,"b":true},"B":"x"}"#).unwrap();
+        let Json::Obj(map) = &parsed else {
+            panic!("an object")
+        };
+        let keys: Vec<&str> = map.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["B", "a", "z", "é"], "byte order, as BTreeMap<String, _> sorts");
+        assert_eq!(parsed.encode(), r#"{"B":"x","a":{"b":true,"y":null},"z":1,"é":[]}"#);
+        let debug = r#"{"B": Str("x"), "a": Obj({"b": Bool(true), "y": Null}), "z": Num(1.0), "é": Arr([])}"#;
+        assert_eq!(format!("{map:?}"), debug);
+    }
+
+    #[test]
+    fn long_escaped_and_non_ascii_keys() {
+        assert_eq!(std::mem::size_of::<Key>(), 24, "a key is as small as a boxed one");
+        let inline = "k".repeat(INLINE_KEY_LEN);
+        let heap = "k".repeat(INLINE_KEY_LEN + 1);
+        let wide = "é".repeat(INLINE_KEY_LEN / 2);
+        let wider = format!("{wide}k");
+        // Each key as the input spells it, then as it decodes.
+        let keys = [
+            (inline.as_str(), inline.as_str()),
+            (&heap, &heap),
+            (&wide, &wide),
+            (&wider, &wider),
+            ("", ""),
+            (r"tab\t", "tab\t"),
+            (r#"q\"uote"#, "q\"uote"),
+            ("😀", "😀"),
+            (r"\u0000", "\0"),
+        ];
+        let members: Vec<String> =
+            keys.iter().enumerate().map(|(i, (text, _))| format!("\"{text}\":{i}")).collect();
+        let parsed = Json::parse(&format!("{{{}}}", members.join(","))).unwrap();
+        for (i, (_, decoded)) in keys.into_iter().enumerate() {
+            assert_eq!(parsed.get(decoded), Ok(&Json::Num(i as f64)), "{decoded:?}");
+            assert_eq!(Key::from(decoded).as_str(), decoded);
+            assert_eq!(Key::from(decoded.to_string()).as_bytes(), decoded.as_bytes());
+        }
+        assert_eq!(Json::parse(&parsed.encode()).unwrap(), parsed);
+        assert_eq!(Json::parse(&parsed.encode_pretty()).unwrap(), parsed);
+        assert!(Key::from(heap.as_str()) > Key::from(inline.as_str()));
+        assert!(Key::from("é") > Key::from("z"));
+        assert_eq!(&*Key::from(wider.clone()), wider);
+    }
+
+    /// Random trees, each with a text that spells it with every object's
+    /// members reversed and a `null` decoy before each member a later
+    /// duplicate must override.
+    #[derive(Debug)]
+    struct Trees;
+
+    impl crate::proptest::Strategy for Trees {
+        type Value = (Json, String);
+
+        fn generate(&self, rng: &mut crate::rng::StdRng) -> (Json, String) {
+            let tree = random_tree(rng, 0);
+            let mut scrambled = String::new();
+            write_scrambled(&tree, &mut scrambled);
+            (tree, scrambled)
+        }
+    }
+
+    fn random_tree(rng: &mut crate::rng::StdRng, depth: usize) -> Json {
+        const KEYS: [&str; 10] = [
+            "a", "b", "op", "sample_fraction", "exactly_twenty_two_byt", "twenty_three_bytes_long",
+            "é", "naïve\"key\"", "tab\tkey", "",
+        ];
+        match rng.gen_range(0..if depth < 4 { 7u32 } else { 4 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen_bool(0.5)),
+            2 => Json::Num(match rng.gen_range(0..3u32) {
+                0 => rng.gen_range(0..1u64 << 53) as f64 - 1e15,
+                1 => (rng.gen_f64() - 0.5) * 10f64.powi(rng.gen_range(-300..300i32)),
+                _ => rng.gen_f64(),
+            }),
+            3 => Json::Str(KEYS[rng.gen_range(0..KEYS.len())].repeat(rng.gen_range(0..3usize))),
+            4 => Json::Arr((0..rng.gen_range(0..5usize)).map(|_| random_tree(rng, depth + 1)).collect()),
+            _ => Json::Obj(
+                (0..rng.gen_range(0..8usize))
+                    .map(|_| (KEYS[rng.gen_range(0..KEYS.len())], random_tree(rng, depth + 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn write_scrambled(value: &Json, out: &mut String) {
+        match value {
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_scrambled(item, out);
+                }
+                out.push(']');
+            }
+            Json::Obj(map) => {
+                let mut reversed: Vec<_> = map.iter().collect();
+                reversed.reverse();
+                out.push('{');
+                for (key, _) in &reversed {
+                    write_string(out, key);
+                    out.push_str(":null,");
+                }
+                for (i, (key, item)) in reversed.into_iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_string(out, key);
+                    out.push(':');
+                    write_scrambled(item, out);
+                }
+                out.push('}');
+            }
+            other => other.encode_into(out),
+        }
+    }
+
+    crate::proptest! {
+        #[test]
+        fn parse_round_trips_random_trees(case in Trees) {
+            let (tree, scrambled) = case;
+            crate::prop_assert_eq!(&Json::parse(&tree.encode()).unwrap(), &tree);
+            crate::prop_assert_eq!(&Json::parse(&tree.encode_pretty()).unwrap(), &tree);
+            crate::prop_assert_eq!(&Json::parse(&scrambled).unwrap(), &tree, "{}", scrambled);
         }
     }
 

@@ -60,8 +60,15 @@ pub enum FrameError {
 }
 
 /// Reads one frame. `Ok(None)` is a clean end-of-stream at a frame
-/// boundary; see [`FrameError`] for every other outcome.
+/// boundary; see [`FrameError`] for every other outcome. A reader of many
+/// frames keeps a [`FrameBuf`] instead.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, FrameError> {
+    FrameBuf::default().read(r)
+}
+
+/// Reads one frame's body into `body`, which keeps its capacity between
+/// calls. See [`read_frame`].
+fn read_frame_into(r: &mut impl Read, body: &mut Vec<u8>) -> Result<Option<Json>, FrameError> {
     let mut len_buf = [0u8; 4];
     match fill(r, &mut len_buf, true)? {
         Fill::CleanEof => return Ok(None),
@@ -72,12 +79,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, FrameError> {
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversized(len));
     }
-    let mut body = vec![0u8; len];
-    match fill(r, &mut body, false)? {
+    body.clear();
+    body.resize(len, 0);
+    match fill(r, body, false)? {
         Fill::Full => {}
         Fill::CleanEof | Fill::Idle => unreachable!("fill only reports these at start"),
     }
-    let text = std::str::from_utf8(&body)
+    let text = std::str::from_utf8(body)
         .map_err(|_| FrameError::Malformed("frame body is not UTF-8".into()))?;
     match Json::parse(text) {
         Ok(json) => Ok(Some(json)),
@@ -91,15 +99,25 @@ pub fn write_frame(w: &mut impl Write, value: &(impl ToJson + ?Sized)) -> io::Re
     FrameBuf::default().write(w, value)
 }
 
-/// Buffers a sender reuses to encode its frames: after the first few
-/// frames, encoding one allocates nothing.
+/// Buffers a peer reuses to read and encode its frames: after the first
+/// few frames, reading one allocates only its [`Json`] tree and encoding
+/// one allocates nothing.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
     body: String,
     frame: Vec<u8>,
+    /// The body of the last frame read; it keeps the capacity of the
+    /// largest, at most [`MAX_FRAME_LEN`].
+    read: Vec<u8>,
 }
 
 impl FrameBuf {
+    /// Reads one frame, as [`read_frame`] does, into the reused body
+    /// buffer.
+    pub fn read(&mut self, r: &mut impl Read) -> Result<Option<Json>, FrameError> {
+        read_frame_into(r, &mut self.read)
+    }
+
     /// Encodes `value` as one frame, length prefix then compact JSON
     /// written by [`ToJson::write_json`], and returns its bytes.
     pub fn encode(&mut self, value: &(impl ToJson + ?Sized)) -> &[u8] {
@@ -296,7 +314,7 @@ pub fn stamp_rid(request: Json, rid: u64) -> Json {
     let Json::Obj(mut obj) = request else {
         unreachable!("requests encode as objects")
     };
-    obj.insert("rid".into(), hex_id::to_json(&rid));
+    obj.insert("rid", hex_id::to_json(&rid));
     Json::Obj(obj)
 }
 
@@ -922,12 +940,15 @@ mod tests {
         let frames = representative_frames();
         assert_eq!(frames.len(), 14, "7 request + 7 response shapes");
         // Every frame fits the wire and re-parses byte-exactly, and one
-        // reused buffer frames the typed messages to the same bytes.
-        let mut reply = FrameBuf::default();
+        // reused buffer frames the typed messages to the same bytes and
+        // reads every frame back, larger and smaller than the last.
+        let mut reused = FrameBuf::default();
         for ((name, json), (_, message)) in frames.iter().zip(representative_messages()) {
             let bytes = frame_bytes(json);
-            assert_eq!(reply.encode(&*message), &bytes[..], "{name} framed from its typed value");
+            assert_eq!(reused.encode(&*message), &bytes[..], "{name} framed from its typed value");
             assert!(bytes.len() <= 4 + MAX_FRAME_LEN, "{name} fits a frame");
+            let read = reused.read(&mut Cursor::new(bytes.clone())).unwrap();
+            assert_eq!(read.as_ref(), Some(json), "{name} read through the reused buffer");
             let mut stream = Cursor::new(bytes);
             assert_eq!(read_frame(&mut stream).unwrap().as_ref(), Some(json));
         }

@@ -764,10 +764,11 @@ fn acceptor_loop(listener: &Listener, shared: &Shared) {
     shared.queue_ready.notify_all();
 }
 
-/// Worker task: own one connection at a time until drained. Every reply
-/// the worker sends is encoded in its one reused [`FrameBuf`].
+/// Worker task: own one connection at a time until drained. Every frame
+/// the worker reads and every reply it sends goes through its one reused
+/// [`FrameBuf`].
 fn worker_loop(shared: &Shared) {
-    let mut reply = FrameBuf::default();
+    let mut frames = FrameBuf::default();
     loop {
         let next = {
             let mut queue = lock(&shared.queue);
@@ -786,7 +787,7 @@ fn worker_loop(shared: &Shared) {
             }
         };
         match next {
-            Some(stream) => serve_connection(stream, shared, &mut reply),
+            Some(stream) => serve_connection(stream, shared, &mut frames),
             None => return,
         }
     }
@@ -827,12 +828,12 @@ fn rotate_if_contended(stream: Stream, shared: &Shared) -> Option<Stream> {
 
 /// Serves one connection until it closes, errors, rotates out behind a
 /// contended admission queue, or the server drains.
-fn serve_connection(mut stream: Stream, shared: &Shared, reply: &mut FrameBuf) {
+fn serve_connection(mut stream: Stream, shared: &Shared, frames: &mut FrameBuf) {
     loop {
         if shared.kill.load(Ordering::SeqCst) {
             return;
         }
-        match read_frame(&mut stream) {
+        match frames.read(&mut stream) {
             Ok(None) => return,
             Ok(Some(json)) => {
                 // Net chaos fires only on rid-stamped frames: control
@@ -858,7 +859,7 @@ fn serve_connection(mut stream: Stream, shared: &Shared, reply: &mut FrameBuf) {
                         }
                         NetFaultKind::PartialResponse { keep_frac } => {
                             let (response, _) = handle_frame(shared, &json);
-                            let frame = reply.encode(&response);
+                            let frame = frames.encode(&response);
                             let keep =
                                 ((frame.len() as f64 * keep_frac) as usize).clamp(1, frame.len() - 1);
                             let _ = stream.write_all(&frame[..keep]);
@@ -874,7 +875,7 @@ fn serve_connection(mut stream: Stream, shared: &Shared, reply: &mut FrameBuf) {
                     }
                 }
                 let (response, close) = handle_frame(shared, &json);
-                let sent = respond(&mut stream, shared, reply, &response);
+                let sent = respond(&mut stream, shared, frames, &response);
                 if close || sent.is_err() {
                     return;
                 }
@@ -898,7 +899,7 @@ fn serve_connection(mut stream: Stream, shared: &Shared, reply: &mut FrameBuf) {
                 let _ = respond(
                     &mut stream,
                     shared,
-                    reply,
+                    frames,
                     &Response::error(
                         ErrorCode::Oversized,
                         format!("frame claims {claimed} bytes (max {})", crate::protocol::MAX_FRAME_LEN),
@@ -914,7 +915,7 @@ fn serve_connection(mut stream: Stream, shared: &Shared, reply: &mut FrameBuf) {
                 if respond(
                     &mut stream,
                     shared,
-                    reply,
+                    frames,
                     &Response::error(ErrorCode::Malformed, message),
                 )
                 .is_err()
@@ -1042,67 +1043,56 @@ fn handle_frame(shared: &Shared, json: &Json) -> (Response, bool) {
             max_bytes,
             max_energy_j,
         } => {
-            let mut state = lock(&shared.state);
             // `get_outcome`, not `get`: a quarantine-pending record must
             // answer with a retryable `quarantined` error, never collapse
             // into `not_found` — an acked key temporarily failing its
-            // checksum is degraded, not absent.
-            match state.store.get_outcome(key) {
-                Ok(GetOutcome::Hit { profile, .. }) => {
-                    let energy = EnergyModel::default();
-                    let native = Resolution::square(COST_NATIVE_RES);
-                    let mut matches: Vec<ProfilePoint> = profile
-                        .points
-                        .iter()
-                        .filter(|p| {
-                            if p.err_b > max_err
-                                || max_fraction.is_some_and(|mf| p.set.sample_fraction > mf)
-                            {
-                                return false;
-                            }
-                            if max_bytes.is_none() && max_energy_j.is_none() {
-                                return true;
-                            }
-                            // Cost budgets (`camera::cost`): judge each
-                            // point on shipping the canonical window at
-                            // its sampled rate.
-                            let shipped = (p.set.sample_fraction
-                                * COST_WINDOW_FRAMES as f64)
-                                .ceil()
-                                .min(COST_WINDOW_FRAMES as f64)
-                                as usize;
-                            let cost = transmission_cost(
-                                &p.set,
-                                COST_WINDOW_FRAMES,
-                                shipped,
-                                native,
-                                &energy,
-                            );
-                            max_bytes.map_or(true, |mb| cost.bytes <= mb)
-                                && max_energy_j.map_or(true, |mj| cost.energy_j <= mj)
-                        })
-                        .cloned()
-                        .collect();
-                    // Cheapest first, deterministically: ascending capture
-                    // spend, ties broken by the tighter bound.
-                    matches.sort_by(|a, b| {
-                        a.set
-                            .sample_fraction
-                            .total_cmp(&b.set.sample_fraction)
-                            .then(a.err_b.total_cmp(&b.err_b))
-                    });
-                    (Response::Tradeoff { matches }, false)
+            // checksum is degraded, not absent. Only the lookup needs the
+            // lock: the `Arc` keeps the record alive while the points are
+            // filtered, costed and sorted after the other worker and the
+            // scrubber can have it back.
+            let outcome = lock(&shared.state).store.get_outcome(key);
+            let profile = match outcome {
+                Ok(GetOutcome::Hit { profile, .. }) => profile,
+                Ok(GetOutcome::Miss) => return (not_found(key), false),
+                Ok(GetOutcome::Quarantined) => {
+                    let message = format!("record {key:?} is quarantined pending repair");
+                    return (Response::error(ErrorCode::Quarantined, message), false);
                 }
-                Ok(GetOutcome::Miss) => (not_found(key), false),
-                Ok(GetOutcome::Quarantined) => (
-                    Response::error(
-                        ErrorCode::Quarantined,
-                        format!("record {key:?} is quarantined pending repair"),
-                    ),
-                    false,
-                ),
-                Err(e) => (Response::error(ErrorCode::Store, e.to_string()), false),
-            }
+                Err(e) => return (Response::error(ErrorCode::Store, e.to_string()), false),
+            };
+            let energy = EnergyModel::default();
+            let native = Resolution::square(COST_NATIVE_RES);
+            let mut matches: Vec<ProfilePoint> = profile
+                .points
+                .iter()
+                .filter(|p| {
+                    if p.err_b > max_err || max_fraction.is_some_and(|mf| p.set.sample_fraction > mf) {
+                        return false;
+                    }
+                    if max_bytes.is_none() && max_energy_j.is_none() {
+                        return true;
+                    }
+                    // Cost budgets (`camera::cost`): judge each point on
+                    // shipping the canonical window at its sampled rate.
+                    let shipped = (p.set.sample_fraction * COST_WINDOW_FRAMES as f64)
+                        .ceil()
+                        .min(COST_WINDOW_FRAMES as f64) as usize;
+                    let cost =
+                        transmission_cost(&p.set, COST_WINDOW_FRAMES, shipped, native, &energy);
+                    max_bytes.map_or(true, |mb| cost.bytes <= mb)
+                        && max_energy_j.map_or(true, |mj| cost.energy_j <= mj)
+                })
+                .cloned()
+                .collect();
+            // Cheapest first, deterministically: ascending capture spend,
+            // ties broken by the tighter bound.
+            matches.sort_by(|a, b| {
+                a.set
+                    .sample_fraction
+                    .total_cmp(&b.set.sample_fraction)
+                    .then(a.err_b.total_cmp(&b.err_b))
+            });
+            (Response::Tradeoff { matches }, false)
         }
         Request::PushOutputs { key, outputs } => {
             let mut state = lock(&shared.state);

@@ -48,7 +48,8 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
+use std::os::unix::fs::FileExt;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -643,13 +644,13 @@ impl ProfileStore {
     /// advances the per-record read-attempt counter that transient
     /// bit-flips heal against.
     fn read_payload(&mut self, key: StoreKey, entry: &IndexEntry) -> io::Result<Option<Vec<u8>>> {
-        if self.read.is_none() {
-            self.read = Some(File::open(self.data_path())?);
-        }
-        let file = self.read.as_mut().expect("just opened");
-        file.seek(SeekFrom::Start(entry.offset))?;
+        let file = match &self.read {
+            Some(file) => file,
+            None => self.read.insert(File::open(self.data_path())?),
+        };
+        // One positioned read, no seek: a short read is a torn record.
         let mut payload = vec![0u8; entry.len as usize];
-        if file.read_exact(&mut payload).is_err() {
+        if file.read_exact_at(&mut payload, entry.offset).is_err() {
             return Ok(None);
         }
         if let Some(plan) = self.faults {

@@ -159,7 +159,7 @@ fn stats(rng: &mut StdRng) -> ServerStats {
     let queue = (0..rng.gen_range(0..5))
         .map(|_| Json::Str(text(rng)))
         .collect();
-    members.insert("repair_queue".into(), Json::Arr(queue));
+    members.insert("repair_queue", Json::Arr(queue));
     ServerStats::from_json(&Json::Obj(members)).expect("random counters decode")
 }
 

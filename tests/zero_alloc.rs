@@ -181,3 +181,28 @@ fn warm_reply_buffer_encodes_profile_and_tradeoff_replies_without_allocating() {
         assert_eq!(stats, alloc::AllocStats::default(), "encoding {response:?} allocated");
     }
 }
+
+#[test]
+fn profile_reply_parses_in_few_allocations() {
+    // A client parses each served reply into a `Json` tree. Object keys
+    // live inline in their members and each object's members arrive in
+    // one vector of exact size, so the tree costs an allocation per
+    // object, array and string value, not one per key.
+    use smokescreen::rt::json::Json;
+    use smokescreen_bench::serve_client::sample_profile;
+    use smokescreen_serve::{Response, StoreKey};
+
+    let reply = Response::Profile {
+        key: StoreKey::new(0x00c5_a2e1_9f03_4b77, 42),
+        seq: 3,
+        profile: sample_profile(42, 12),
+        drift: None,
+        stale: false,
+        degraded: false,
+    };
+    let text = reply.to_json().encode();
+    let (stats, tree) = alloc::measure(|| Json::parse(&text).expect("the reply parses"));
+    assert_eq!(Response::from_json(&tree).expect("the tree decodes"), reply);
+    eprintln!("{} B reply: {} allocations", text.len(), stats.count);
+    assert!(stats.count <= 48, "parsing the profile reply allocated {} times", stats.count);
+}
