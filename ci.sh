@@ -44,11 +44,12 @@ SMOKESCREEN_THREADS=1 cargo test -q --offline --workspace
 echo "=== test suite @ SMOKESCREEN_THREADS=8 ==="
 SMOKESCREEN_THREADS=8 cargo test -q --offline --workspace
 
-echo "=== direct JSON writer: write_json bytes == to_json().encode() at 2000 cases ==="
-# The daemon writes every reply with ToJson::write_json, without a tree;
-# clients, goldens and tools read the tree encoding. The property over
-# random profiles and every request/response variant ran at its default
-# case count above; here it runs again at 2000.
+echo "=== JSON writer: write_json writes canonical JSON (parse then encode is identity) at 2000 cases ==="
+# ToJson::write_json is the one encoder; to_json is the parse of what it
+# writes. The property checks that write_json's bytes have sorted keys
+# and no key twice, so parse then encode returns them unchanged, over
+# random profiles and every request/response variant. It ran at its
+# default case count above; here it runs again at 2000.
 SMOKESCREEN_PT_CASES=2000 cargo test -q --offline --test serve_write_json \
   write_json_matches_tree_encoding
 

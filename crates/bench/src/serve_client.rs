@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use smokescreen_core::{Aggregate, Profile, ProfilePoint};
 use smokescreen_degrade::InterventionSet;
-use smokescreen_rt::json::Json;
+use smokescreen_rt::json::{Json, ToJson};
 use smokescreen_rt::log::checksum64;
 use smokescreen_rt::pool::Pool;
 use smokescreen_serve::protocol::{read_frame, write_frame, FrameError};

@@ -143,22 +143,6 @@ impl Aggregate {
 }
 
 impl ToJson for Aggregate {
-    fn to_json(&self) -> Json {
-        match *self {
-            Aggregate::Avg => Json::Str("avg".into()),
-            Aggregate::Sum => Json::Str("sum".into()),
-            Aggregate::Var => Json::Str("var".into()),
-            Aggregate::Count { at_least } => {
-                Json::obj([("count", Json::obj([("at_least", at_least.to_json())]))])
-            }
-            Aggregate::Max { r } => Json::obj([("max", Json::obj([("r", r.to_json())]))]),
-            Aggregate::Min { r } => Json::obj([("min", Json::obj([("r", r.to_json())]))]),
-            Aggregate::Quantile { r } => {
-                Json::obj([("quantile", Json::obj([("r", r.to_json())]))])
-            }
-        }
-    }
-
     fn write_json(&self, out: &mut String) {
         let (name, key, value) = match *self {
             Aggregate::Avg => return "avg".write_json(out),

@@ -256,16 +256,16 @@ smokescreen_rt::json_codec! { CellRecord { cell, points, skipped, frames_lost, q
 
 impl CellRecord {
     fn encode(cell: usize, out: &CellOutput) -> Vec<u8> {
-        CellRecord {
+        let record = CellRecord {
             cell,
             points: out.points.clone(),
             skipped: out.skipped_by_early_stop,
             frames_lost: out.frames_lost,
             quarantined: out.quarantined.clone(),
-        }
-        .to_json()
-        .encode()
-        .into_bytes()
+        };
+        let mut text = String::new();
+        record.write_json(&mut text);
+        text.into_bytes()
     }
 
     /// Decodes a replayed payload, rejecting anything malformed or

@@ -21,18 +21,15 @@
 //! vector of exact size at its `}`, sorting only when they arrived out of
 //! order; a key with no escape is copied straight from the input.
 //!
-//! A value encodes two ways, to the same bytes:
-//!
-//! * [`ToJson::write_json`] appends the compact encoding straight to a
-//!   `String`, with no tree in between. Declared shapes, scalars and
-//!   containers write directly, members sorted by key as a [`Map`] sorts
-//!   them; the serving daemon encodes every reply this way into a buffer
-//!   it reuses.
-//! * [`ToJson::to_json`] builds a [`Json`] tree. It is what a caller
-//!   needs to inspect or edit a value before encoding it, and what the
-//!   pretty printer, the golden files and request stamping work on.
-//!   A type with only a hand-written `to_json` still gets `write_json`,
-//!   by encoding that tree.
+//! A value has one encoder, [`ToJson::write_json`]: it appends the
+//! compact encoding straight to a `String`, with no tree in between, its
+//! members sorted by key as a [`Map`] sorts them; the serving daemon
+//! encodes every reply this way into a buffer it reuses. What it writes
+//! is canonical JSON — sorted keys, no key twice — so [`Json::parse`]
+//! then [`Json::encode`] gives back the same bytes. [`ToJson::to_json`]
+//! is that parse: the [`Json`] tree a caller inspects or edits before
+//! encoding it, and what the pretty printer, the golden files and
+//! request stamping work on.
 
 use std::fmt::{self, Write as _};
 use std::ops::Deref;
@@ -856,16 +853,19 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Conversion into a [`Json`] value, or straight into its encoding.
+/// Conversion into the encoding of a JSON value, or into the value.
 pub trait ToJson {
-    /// Converts `self` into a JSON value.
-    fn to_json(&self) -> Json;
+    /// Appends the compact, canonical encoding of `self` to `out`: keys
+    /// sorted by bytes with none twice, so parsing it and encoding the
+    /// tree again gives the same bytes.
+    fn write_json(&self, out: &mut String);
 
-    /// Appends the compact encoding of `self` to `out`: the same bytes as
-    /// `self.to_json().encode()`. The default builds the tree and encodes
-    /// it; declared shapes, scalars and containers write directly.
-    fn write_json(&self, out: &mut String) {
-        self.to_json().encode_into(out);
+    /// Converts `self` into a JSON value: the parse of what
+    /// [`ToJson::write_json`] writes.
+    fn to_json(&self) -> Json {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        Json::parse(&out).expect("write_json writes valid JSON")
     }
 }
 
@@ -886,10 +886,6 @@ impl ToJson for Json {
 }
 
 impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Num(*self)
-    }
-
     fn write_json(&self, out: &mut String) {
         write_number(out, *self);
     }
@@ -902,10 +898,6 @@ impl FromJson for f64 {
 }
 
 impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-
     fn write_json(&self, out: &mut String) {
         out.push_str(if *self { "true" } else { "false" });
     }
@@ -918,20 +910,12 @@ impl FromJson for bool {
 }
 
 impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-
     fn write_json(&self, out: &mut String) {
         write_string(out, self);
     }
 }
 
 impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-
     fn write_json(&self, out: &mut String) {
         write_string(out, self);
     }
@@ -946,10 +930,6 @@ impl FromJson for String {
 macro_rules! json_uint {
     ($($t:ty),* $(,)?) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Num(*self as f64)
-            }
-
             fn write_json(&self, out: &mut String) {
                 write_number(out, *self as f64);
             }
@@ -967,10 +947,6 @@ macro_rules! json_uint {
 json_uint!(u8, u16, u32, u64, usize);
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-
     fn write_json(&self, out: &mut String) {
         out.push('[');
         for (i, item) in self.iter().enumerate() {
@@ -990,13 +966,6 @@ impl<T: FromJson> FromJson for Vec<T> {
 }
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
-        }
-    }
-
     fn write_json(&self, out: &mut String) {
         match self {
             Some(v) => v.write_json(out),
@@ -1016,10 +985,6 @@ impl<T: FromJson> FromJson for Option<T> {
 }
 
 impl<T: ToJson + ?Sized> ToJson for Box<T> {
-    fn to_json(&self) -> Json {
-        self.as_ref().to_json()
-    }
-
     fn write_json(&self, out: &mut String) {
         self.as_ref().write_json(out);
     }
@@ -1122,20 +1087,10 @@ pub fn write_object(object: &dyn JsonObject, out: &mut String) {
     out.push('}');
 }
 
-/// Moves the members of `value`, which must encode as an object, into
-/// `map`: the encoding of a `[flatten]` field in [`json_codec!`].
-#[doc(hidden)]
-pub fn flatten_into(map: &mut Map, value: Json) {
-    match value {
-        Json::Obj(members) => map.extend(members),
-        other => unreachable!("a flattened field encodes as an object, got {}", other.kind()),
-    }
-}
-
 /// Declares the JSON shape of a record or of a tagged enum once and
 /// implements both [`ToJson`] and [`FromJson`] from it. `write_json`
 /// writes the members in sorted key order without building a tree, so
-/// its bytes equal `to_json().encode()`.
+/// its bytes are canonical: `to_json().encode()` gives them back.
 ///
 /// A record lists its fields; each field's wire key is its name:
 ///
@@ -1161,9 +1116,9 @@ pub fn flatten_into(map: &mut Map, value: Json) {
 /// * `name` — the key must be present;
 /// * `name = default` — a missing key decodes as `default` (for an
 ///   `Option` field `= None` also takes `null`; `None` encodes as `null`);
-/// * `name [with module]` — `module::to_json(&T) -> Json`,
-///   `module::write_json(&T, &mut String)` and
-///   `module::from_json(&Json) -> Result<T>` encode the value;
+/// * `name [with module]` — `module::write_json(&T, &mut String)`
+///   encodes the value and `module::from_json(&Json) -> Result<T>`
+///   decodes it; what `write_json` writes must itself be canonical;
 /// * `name [flatten]` — the value's object members sit beside the
 ///   record's own keys, and it decodes from the whole object. The value
 ///   must itself be declared with `json_codec!` (or be a `Box` of one).
@@ -1186,18 +1141,6 @@ macro_rules! json_codec {
         $(check $check:expr)?
     ) => {
         impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Json {
-                let mut map = $crate::json::Map::new();
-                let wire: &str = match self {
-                    $($crate::json_codec!(@pat $variant $body inner) => {
-                        $crate::json_codec!(@put_variant map $body inner);
-                        $wire
-                    })*
-                };
-                map.insert($tag, $crate::json::Json::Str(::std::string::String::from(wire)));
-                $crate::json::Json::Obj(map)
-            }
-
             fn write_json(&self, out: &mut ::std::string::String) {
                 $crate::json::write_object(self, out);
             }
@@ -1249,12 +1192,6 @@ macro_rules! json_codec {
         $(check $check:expr)?
     ) => {
         impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Json {
-                let mut map = $crate::json::Map::new();
-                $($crate::json_codec!(@put map, $field, &self.$field, [$($($codec)*)?]);)*
-                $crate::json::Json::Obj(map)
-            }
-
             fn write_json(&self, out: &mut ::std::string::String) {
                 $crate::json::write_object(self, out);
             }
@@ -1282,17 +1219,6 @@ macro_rules! json_codec {
                 Ok(decoded)
             }
         }
-    };
-
-    // One field into the object `map`.
-    (@put $map:ident, $field:ident, $v:expr, []) => {
-        $map.insert(::core::stringify!($field), $crate::json::ToJson::to_json($v));
-    };
-    (@put $map:ident, $field:ident, $v:expr, [with $codec:ident]) => {
-        $map.insert(::core::stringify!($field), $codec::to_json($v));
-    };
-    (@put $map:ident, $field:ident, $v:expr, [flatten]) => {
-        $crate::json::flatten_into(&mut $map, $crate::json::ToJson::to_json($v));
     };
 
     // One field into the member list of `owner`, which writes it.
@@ -1345,14 +1271,6 @@ macro_rules! json_codec {
     };
     (@pat $variant:ident (flatten) $inner:ident) => {
         Self::$variant($inner)
-    };
-    (@put_variant $map:ident {
-        $($field:ident $([$($codec:tt)*])? $(= $default:expr)?),* $(,)?
-    } $inner:ident) => {
-        $($crate::json_codec!(@put $map, $field, $field, [$($($codec)*)?]);)*
-    };
-    (@put_variant $map:ident (flatten) $inner:ident) => {
-        $crate::json::flatten_into(&mut $map, $crate::json::ToJson::to_json($inner));
     };
     (@list_variant $members:ident, $owner:expr, {
         $($field:ident $([$($codec:tt)*])? $(= $default:expr)?),* $(,)?
@@ -1533,12 +1451,8 @@ mod tests {
     mod hex {
         use super::*;
 
-        pub fn to_json(v: &u64) -> Json {
-            Json::Str(format!("{v:x}"))
-        }
-
         pub fn write_json(v: &u64, out: &mut String) {
-            to_json(v).encode_into(out);
+            format!("{v:x}").write_json(out);
         }
 
         pub fn from_json(value: &Json) -> Result<u64> {

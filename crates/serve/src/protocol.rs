@@ -234,10 +234,6 @@ impl ErrorCode {
 }
 
 impl ToJson for ErrorCode {
-    fn to_json(&self) -> Json {
-        Json::Str(self.as_str().into())
-    }
-
     fn write_json(&self, out: &mut String) {
         self.as_str().write_json(out);
     }
@@ -277,10 +273,6 @@ json_codec! { DriftStatus { score, windows_scored, windows_flagged, stale, widen
 mod hex_id {
     use smokescreen_rt::json::{self, Json, JsonError};
 
-    pub fn to_json(id: &u64) -> Json {
-        Json::Str(format!("{id:016x}"))
-    }
-
     pub fn write_json(id: &u64, out: &mut String) {
         out.push('"');
         for shift in (0..16).rev() {
@@ -314,7 +306,7 @@ pub fn stamp_rid(request: Json, rid: u64) -> Json {
     let Json::Obj(mut obj) = request else {
         unreachable!("requests encode as objects")
     };
-    obj.insert("rid", hex_id::to_json(&rid));
+    obj.insert("rid", Json::Str(format!("{rid:016x}")));
     Json::Obj(obj)
 }
 
@@ -534,11 +526,6 @@ fn check_request(request: &Request) -> json::Result<()> {
 }
 
 impl Request {
-    /// Encodes the request for the wire.
-    pub fn to_json(&self) -> Json {
-        ToJson::to_json(self)
-    }
-
     /// Decodes a request, reporting *why* it is invalid (the message is
     /// echoed in the `malformed`/`bad_request` error response).
     pub fn from_json(value: &Json) -> Result<Request, String> {
@@ -625,11 +612,6 @@ json_codec! {
 }
 
 impl Response {
-    /// Encodes the response for the wire.
-    pub fn to_json(&self) -> Json {
-        ToJson::to_json(self)
-    }
-
     /// Decodes a response (the client half of the codec).
     pub fn from_json(value: &Json) -> Result<Response, String> {
         FromJson::from_json(value).map_err(|e: JsonError| e.to_string())
@@ -913,8 +895,16 @@ mod tests {
             let err = Request::from_json(&Json::parse(&text).unwrap()).unwrap_err();
             assert!(err.contains(field), "{frame} with {to}: {err}");
         }
-        let nan = Request::PushOutputs { key: StoreKey::new(1, 2), outputs: vec![f64::NAN] };
-        assert!(Request::from_json(&nan.to_json()).unwrap_err().contains("outputs"));
+        // Encoding writes NaN as `null`, so only a tree built by hand
+        // carries one to `check_request`.
+        let nan = Json::obj([
+            ("op", Json::Str("push_outputs".into())),
+            ("camera", Json::Str("0000000000000001".into())),
+            ("grid", Json::Str("0000000000000002".into())),
+            ("outputs", Json::Arr(vec![Json::Num(1.0), Json::Num(f64::NAN)])),
+        ]);
+        let err = Request::from_json(&nan).unwrap_err();
+        assert!(err.contains("outputs contain a non-finite value"), "{err}");
         assert!(Request::from_json(&Json::Num(3.0)).is_err(), "not an object");
         let unknown = Json::parse(r#"{"op":"nope"}"#).unwrap();
         assert!(Request::from_json(&unknown).unwrap_err().contains("unknown op"));

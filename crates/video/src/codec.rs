@@ -35,10 +35,6 @@ impl Quality {
 }
 
 impl ToJson for Quality {
-    fn to_json(&self) -> Json {
-        Json::Num(self.0)
-    }
-
     fn write_json(&self, out: &mut String) {
         self.0.write_json(out);
     }

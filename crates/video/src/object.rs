@@ -192,10 +192,6 @@ impl Resolution {
 }
 
 impl ToJson for ObjectClass {
-    fn to_json(&self) -> Json {
-        Json::Str(self.name().to_string())
-    }
-
     fn write_json(&self, out: &mut String) {
         self.name().write_json(out);
     }

@@ -23,7 +23,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use smokescreen_bench::trajectory::{assert_golden, schema_of};
-use smokescreen_rt::json::Json;
+use smokescreen_rt::json::{Json, ToJson};
 use smokescreen_serve::protocol::{read_frame, representative_frames};
 use smokescreen_serve::{
     Connection, ErrorCode, Request, Response, RunningServer, ServeAddr, Server, ServerConfig,

@@ -1,9 +1,11 @@
-//! The daemon encodes every reply with `ToJson::write_json`, straight
-//! into a reused buffer; clients, goldens and tools see the tree encoding
-//! `to_json().encode()`. These tests pin that the two are the same bytes:
+//! `ToJson::write_json` is the one encoder: the daemon writes every reply
+//! with it, straight into a reused buffer, and `to_json` is the parse of
+//! what it writes. These tests pin that it writes canonical JSON — sorted
+//! keys, no key twice, so `parse` then `encode` returns the same bytes —
 //! for random profiles (non-finite numbers, names that need escaping) and
-//! every request and response variant, and for the committed frame
-//! golden. `ci.sh` runs the property a second time at 2,000 cases:
+//! every request and response variant, and that those bytes match the
+//! committed frame golden. `ci.sh` runs the property a second time at
+//! 2,000 cases:
 //!
 //! ```text
 //! SMOKESCREEN_PT_CASES=2000 cargo test --test serve_write_json
@@ -21,8 +23,8 @@ use smokescreen::video::{ObjectClass, Resolution};
 use smokescreen_serve::protocol::representative_messages;
 use smokescreen_serve::{DriftStatus, ErrorCode, Request, Response, ServerStats, StoreKey};
 
-/// Asserts that `value` writes the bytes of its tree encoding, appended
-/// after what `out` already held.
+/// Asserts that what `value` appends after what `out` already held is
+/// canonical: encoding its parse, `to_json`, gives the same bytes.
 fn same_bytes(value: &(impl ToJson + ?Sized)) {
     let mut out = String::from("[1,");
     value.write_json(&mut out);

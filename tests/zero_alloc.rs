@@ -15,6 +15,7 @@ use smokescreen::core::{Aggregate, AggregateKernel};
 use smokescreen::degrade::{DegradedView, InterventionSet, RangeOutputs, RestrictionIndex};
 use smokescreen::models::{OutputCache, SimYoloV4};
 use smokescreen::rt::bench::alloc;
+use smokescreen::rt::json::ToJson;
 use smokescreen::video::synth::DatasetPreset;
 use smokescreen::video::ObjectClass;
 
