@@ -60,6 +60,12 @@ echo "=== JSON tree: Json::parse(v.encode()) == v for random trees at 2000 cases
 SMOKESCREEN_PT_CASES=2000 cargo test -q --offline -p smokescreen-rt --lib \
   json::tests::parse_round_trips_random_trees
 
+echo "=== allocation contracts: tests/zero_alloc.rs in a release build ==="
+# The daemon and perfbench ship release builds; the workspace suites
+# above check the zero-allocation and allocation-count contracts only in
+# debug builds.
+cargo test --release --offline --test zero_alloc
+
 echo "=== perfbench: builds against the workspace APIs, self-tests pass ==="
 # The end-to-end benchmark (perfbench/, its own workspace) compiles
 # against the smokescreen-serve protocol and rt::json public APIs, and

@@ -87,6 +87,13 @@ impl Key {
             KeyText::Heap(text) => text.as_bytes(),
         }
     }
+
+    /// An inline key of the first `len` bytes of `window`, which must be
+    /// UTF-8; the bytes past `len` are never read.
+    fn inline(len: usize, window: &[u8]) -> Key {
+        let bytes = window.try_into().expect("a window is INLINE_KEY_LEN bytes");
+        Key(KeyText::Inline(len as u8, bytes))
+    }
 }
 
 impl From<&str> for Key {
@@ -397,12 +404,11 @@ impl Json {
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
-            members: Vec::new(),
+            members: Vec::with_capacity(16),
         };
         p.skip_ws();
         let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.skip_ws().is_some() {
             return Err(JsonError::new(format!(
                 "trailing characters at byte {}",
                 p.pos
@@ -565,14 +571,15 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
+    /// Skips whitespace and returns the next byte.
+    fn skip_ws(&mut self) -> Option<u8> {
         while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
+            if !matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                return Some(b);
             }
+            self.pos += 1;
         }
+        None
     }
 
     fn peek(&self) -> Option<u8> {
@@ -591,9 +598,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
+    fn literal(&mut self, word: &[u8], value: Json) -> Result<Json> {
+        let end = self.pos + word.len();
+        if self.bytes.get(self.pos..end) == Some(word) {
+            self.pos = end;
             Ok(value)
         } else {
             Err(JsonError::new(format!(
@@ -603,15 +611,16 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A value starting at `pos`, which is not whitespace.
     fn value(&mut self) -> Result<Json> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
             Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
             Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'n') => self.literal(b"null", Json::Null),
+            Some(b't') => self.literal(b"true", Json::Bool(true)),
+            Some(b'f') => self.literal(b"false", Json::Bool(false)),
             Some(other) => Err(JsonError::new(format!(
                 "unexpected character {:?} at byte {}",
                 other as char, self.pos
@@ -620,10 +629,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Bumps the container nesting depth, erroring past the cap. The
-    /// matching decrement happens only on success paths — a failed parse
-    /// aborts the whole document, so the counter never needs unwinding.
-    fn descend(&mut self) -> Result<()> {
+    /// Steps into the container whose opening byte is at `pos`, erroring
+    /// past the nesting cap, and returns whether it is empty: then its
+    /// `close` byte is consumed too. The matching decrement happens only
+    /// on success paths — a failed parse aborts the whole document, so
+    /// the counter never needs unwinding.
+    fn open(&mut self, close: u8) -> Result<bool> {
+        self.pos += 1;
         self.depth += 1;
         if self.depth > MAX_PARSE_DEPTH {
             return Err(JsonError::new(format!(
@@ -631,84 +643,102 @@ impl<'a> Parser<'a> {
                 self.pos
             )));
         }
-        Ok(())
+        if self.skip_ws() != Some(close) {
+            return Ok(false);
+        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(true)
+    }
+
+    /// After a member or an item: skips the `,` before the next one and
+    /// returns `false`, or the `close` byte ending the container and
+    /// returns `true`.
+    fn next_or_close(&mut self, close: u8) -> Result<bool> {
+        match self.skip_ws() {
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(false)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(true)
+            }
+            _ => Err(JsonError::new(format!(
+                "expected ',' or '{}' at byte {}",
+                close as char, self.pos
+            ))),
+        }
     }
 
     fn array(&mut self) -> Result<Json> {
-        self.expect(b'[')?;
-        self.descend()?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Arr(items));
+        if self.open(b']')? {
+            return Ok(Json::Arr(Vec::new()));
         }
+        let mut items = Vec::new();
         loop {
-            self.skip_ws();
             items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(JsonError::new(format!("expected ',' or ']' at byte {}", self.pos))),
+            if self.next_or_close(b']')? {
+                return Ok(Json::Arr(items));
             }
         }
     }
 
     fn object(&mut self) -> Result<Json> {
-        self.expect(b'{')?;
-        self.descend()?;
-        let base = self.members.len();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
+        if self.open(b'}')? {
             return Ok(Json::Obj(Map::new()));
         }
+        let base = self.members.len();
         loop {
-            self.skip_ws();
             let key = self.key()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
             self.members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    let members = self.members.drain(base..).collect();
-                    return Ok(Json::Obj(Map::from_members(members)));
-                }
-                _ => return Err(JsonError::new(format!("expected ',' or '}}' at byte {}", self.pos))),
+            if self.next_or_close(b'}')? {
+                let members = self.members.split_off(base);
+                return Ok(Json::Obj(Map::from_members(members)));
             }
         }
     }
 
     /// An object key. A key with no escape is copied straight from the
-    /// input; any other is read as a string first.
+    /// input: an inline key as the fixed-size window of input bytes it
+    /// starts, where the input is long enough.
     fn key(&mut self) -> Result<Key> {
-        let start = self.pos + 1;
-        if self.peek() == Some(b'"') {
-            let run = self.bytes[start..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
-            if let Some(len) = run.filter(|&len| self.bytes[start + len] == b'"') {
-                self.pos = start + len + 1;
-                return Ok(Key::from(&self.text[start..start + len]));
-            }
+        let Some(text) = self.plain_string() else {
+            return self.string().map(Key::from);
+        };
+        let start = self.pos - 1 - text.len();
+        match self.bytes.get(start..start + INLINE_KEY_LEN) {
+            Some(window) if text.len() <= INLINE_KEY_LEN => Ok(Key::inline(text.len(), window)),
+            _ => Ok(Key::from(text)),
         }
-        self.string().map(Key::from)
+    }
+
+    /// A string at `pos` with no escape, taken as a slice of the input
+    /// (the run starts after an ASCII quote and stops at one, so it lies
+    /// on char boundaries); `None`, consuming nothing, for any other.
+    fn plain_string(&mut self) -> Option<&'a str> {
+        if self.peek() != Some(b'"') {
+            return None;
+        }
+        let start = self.pos + 1;
+        let len = self.bytes[start..].iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+        if self.bytes[start + len] != b'"' {
+            return None;
+        }
+        self.pos = start + len + 1;
+        Some(&self.text[start..start + len])
     }
 
     fn string(&mut self) -> Result<String> {
+        if let Some(text) = self.plain_string() {
+            return Ok(text.to_string());
+        }
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -815,16 +845,24 @@ impl<'a> Parser<'a> {
     }
 
     /// RFC 8259 numbers: an optional `-`, then `0` or a digit run without
-    /// a leading zero, then optional `.digits` and `e[+-]digits`.
+    /// a leading zero, then optional `.digits` and `e[+-]digits`. An
+    /// integer of up to 15 digits is exact in an `f64` and is converted
+    /// directly; any other number goes through `str::parse`.
     fn number(&mut self) -> Result<Json> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
         if self.peek() == Some(b'0') {
             self.pos += 1;
         } else {
             self.digits(start)?;
+        }
+        let integer = &self.bytes[start + usize::from(negative)..self.pos];
+        if !matches!(self.peek(), Some(b'.' | b'e' | b'E')) && integer.len() <= 15 {
+            let n = integer.iter().fold(0u64, |n, &d| n * 10 + u64::from(d - b'0')) as f64;
+            return Ok(Json::Num(if negative { -n } else { n }));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -996,101 +1034,156 @@ impl<T: FromJson> FromJson for Box<T> {
     }
 }
 
-/// A value that encodes as an object whose members can be listed before
-/// any is written: what [`json_codec!`] implements beside [`ToJson`], so
-/// that a `[flatten]` field's members and an enum's tag sort in among a
-/// record's own keys when it writes itself directly.
+/// A record declared with [`json_codec!`]: its members' keys in the
+/// order it writes them, so that a record holding it as a `[flatten]`
+/// field can interleave them with its own keys once, at compile time.
 #[doc(hidden)]
 pub trait JsonObject {
-    /// Lists every member's key with the value that writes it.
-    fn members<'a>(&'a self, members: &mut Members<'a>);
+    /// Every member's key, sorted by bytes: the record's own fields and
+    /// the members of its `[flatten]` fields.
+    const KEYS: &'static [&'static str];
 
-    /// Writes the value of `key`, which [`JsonObject::members`] listed
-    /// with `self` as its owner.
-    fn write_member(&self, key: &str, out: &mut String);
+    /// Writes the member `KEYS[index]` as `"key":value`.
+    fn write_member(&self, index: usize, out: &mut String);
 }
 
 impl<T: JsonObject + ?Sized> JsonObject for Box<T> {
-    fn members<'a>(&'a self, members: &mut Members<'a>) {
-        self.as_ref().members(members);
-    }
+    const KEYS: &'static [&'static str] = T::KEYS;
 
-    fn write_member(&self, key: &str, out: &mut String) {
-        self.as_ref().write_member(key, out);
+    fn write_member(&self, index: usize, out: &mut String) {
+        self.as_ref().write_member(index, out);
     }
 }
 
-/// Members held on the stack before a record of normal size spills to
-/// the heap.
-const INLINE_MEMBERS: usize = 12;
-
-/// The members of one object being written directly, keyed and owned
-/// (see [`JsonObject`]).
+/// One declared field of a record or an enum variant, with the keys it
+/// writes: its own name, or the keys of the record it flattens.
 #[doc(hidden)]
-pub struct Members<'a> {
-    inline: [(&'static str, &'a dyn JsonObject); INLINE_MEMBERS],
-    len: usize,
-    spill: Vec<(&'static str, &'a dyn JsonObject)>,
+pub struct Source {
+    /// The field's position in its declaration.
+    pub field: usize,
+    pub keys: &'static [&'static str],
 }
 
-/// The owner of an unused member slot; never written.
-struct Vacant;
+/// One member of an object in written order: its key, the field that
+/// writes it and, for a `[flatten]` field, the member's index in the
+/// flattened record's [`JsonObject::KEYS`].
+#[doc(hidden)]
+#[derive(Clone, Copy)]
+pub struct Member {
+    pub key: &'static str,
+    pub field: usize,
+    pub index: usize,
+}
 
-impl JsonObject for Vacant {
-    fn members<'a>(&'a self, _: &mut Members<'a>) {}
+/// The [`JsonObject::KEYS`] of the record a field accessor returns; the
+/// accessor is never called, it names the field's type.
+#[doc(hidden)]
+pub const fn keys_of<S, T: JsonObject + ?Sized>(_: fn(&S) -> &T) -> &'static [&'static str] {
+    T::KEYS
+}
 
-    fn write_member(&self, key: &str, _: &mut String) {
-        unreachable!("vacant member slot asked for {key:?}")
+/// The number of members `sources` write.
+#[doc(hidden)]
+pub const fn count(sources: &[Source]) -> usize {
+    let (mut total, mut i) = (0, 0);
+    while i < sources.len() {
+        total += sources[i].keys.len();
+        i += 1;
     }
+    total
 }
 
-impl<'a> Members<'a> {
-    /// Adds the member `key`, whose value `owner` writes.
-    pub fn push(&mut self, key: &'static str, owner: &'a dyn JsonObject) {
-        if self.len < INLINE_MEMBERS {
-            self.inline[self.len] = (key, owner);
-            self.len += 1;
-        } else {
-            if self.spill.is_empty() {
-                self.spill.extend_from_slice(&self.inline);
+/// The members `sources` write, sorted by key bytes: the order of a
+/// [`Map`]. Evaluated at compile time, where a key declared twice or one
+/// that would need escaping stops the build.
+#[doc(hidden)]
+pub const fn members<const N: usize>(sources: &[Source]) -> [Member; N] {
+    let mut members = [Member { key: "", field: 0, index: 0 }; N];
+    let (mut len, mut s) = (0, 0);
+    while s < sources.len() {
+        let mut index = 0;
+        while index < sources[s].keys.len() {
+            let key = sources[s].keys[index];
+            assert!(plain(key), "a declared JSON key must need no escape");
+            let mut at = len;
+            while at > 0 && before(key, members[at - 1].key) {
+                members[at] = members[at - 1];
+                at -= 1;
             }
-            self.spill.push((key, owner));
+            assert!(at == 0 || before(members[at - 1].key, key), "a JSON key is declared twice");
+            members[at] = Member { key, field: sources[s].field, index };
+            len += 1;
+            index += 1;
         }
+        s += 1;
     }
+    assert!(len == N, "the member count is the sum of the sources' keys");
+    members
 }
 
-/// Appends the compact encoding of `object` to `out`, its members in
-/// sorted key order: byte order, which is the order of a [`Map`].
+/// The keys of `members`, in their order.
 #[doc(hidden)]
-pub fn write_object(object: &dyn JsonObject, out: &mut String) {
-    let vacant: (&'static str, &dyn JsonObject) = ("", &Vacant);
-    let mut members = Members {
-        inline: [vacant; INLINE_MEMBERS],
-        len: 0,
-        spill: Vec::new(),
-    };
-    object.members(&mut members);
-    let listed = match members.spill.is_empty() {
-        true => &mut members.inline[..members.len],
-        false => &mut members.spill[..],
-    };
-    listed.sort_unstable_by(|a, b| a.0.cmp(b.0));
+pub const fn keys<const N: usize>(members: &[Member; N]) -> [&'static str; N] {
+    let mut keys = [""; N];
+    let mut i = 0;
+    while i < N {
+        keys[i] = members[i].key;
+        i += 1;
+    }
+    keys
+}
+
+/// Whether `text` is written as itself between quotes.
+#[doc(hidden)]
+pub const fn plain(text: &str) -> bool {
+    let bytes = text.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i] == b'"' || bytes[i] == b'\\' || bytes[i] < 0x20 {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// Whether `a` sorts strictly before `b` in byte order.
+const fn before(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let mut i = 0;
+    while i < a.len() && i < b.len() {
+        if a[i] != b[i] {
+            return a[i] < b[i];
+        }
+        i += 1;
+    }
+    a.len() < b.len()
+}
+
+/// Writes an object of `len` members, `member(index, out)` writing each
+/// as `"key":value`.
+#[doc(hidden)]
+pub fn write_members(len: usize, out: &mut String, mut member: impl FnMut(usize, &mut String)) {
     out.push('{');
-    for (i, (key, owner)) in listed.iter().enumerate() {
-        if i > 0 {
+    for index in 0..len {
+        if index > 0 {
             out.push(',');
         }
-        write_string(out, key);
-        out.push(':');
-        owner.write_member(key, out);
+        member(index, out);
     }
     out.push('}');
 }
 
 /// Declares the JSON shape of a record or of a tagged enum once and
-/// implements both [`ToJson`] and [`FromJson`] from it. `write_json`
-/// writes the members in sorted key order without building a tree, so
-/// its bytes are canonical: `to_json().encode()` gives them back.
+/// implements both [`ToJson`] and [`FromJson`] from it.
+///
+/// `write_json` writes the members in sorted key order without building
+/// a tree, so its bytes are canonical: `to_json().encode()` gives them
+/// back. The order is fixed at compile time, once per record and once
+/// per enum variant, with the members of `[flatten]` fields and the enum
+/// tag sorted in among the declared keys; a write then walks that order,
+/// emitting each key as a quoted literal. A key declared twice, or one
+/// that would need an escape, stops the build.
 ///
 /// A record lists its fields; each field's wire key is its name:
 ///
@@ -1121,7 +1214,8 @@ pub fn write_object(object: &dyn JsonObject, out: &mut String) {
 ///   decodes it; what `write_json` writes must itself be canonical;
 /// * `name [flatten]` — the value's object members sit beside the
 ///   record's own keys, and it decodes from the whole object. The value
-///   must itself be declared with `json_codec!` (or be a `Box` of one).
+///   must itself be a record declared with `json_codec!` (or a `Box` of
+///   one).
 ///
 /// Decode errors under a key are prefixed with it. The optional `check`
 /// (any `Fn(&Self) -> Result<()>`) runs on the decoded value and rejects
@@ -1142,32 +1236,11 @@ macro_rules! json_codec {
     ) => {
         impl $crate::json::ToJson for $ty {
             fn write_json(&self, out: &mut ::std::string::String) {
-                $crate::json::write_object(self, out);
-            }
-        }
-
-        impl $crate::json::JsonObject for $ty {
-            #[allow(unused_variables)]
-            fn members<'a>(&'a self, members: &mut $crate::json::Members<'a>) {
-                members.push($tag, self);
                 match self {
                     $($crate::json_codec!(@pat $variant $body inner) => {
-                        $crate::json_codec!(@list_variant members, self, $body inner);
+                        $crate::json_codec!(@write_variant out, $ty, $tag, $variant $wire $body inner)
                     })*
                 }
-            }
-
-            #[allow(unused_variables)]
-            fn write_member(&self, key: &str, out: &mut ::std::string::String) {
-                match self {
-                    $($crate::json_codec!(@pat $variant $body inner) => {
-                        if key == $tag {
-                            return $crate::json::ToJson::write_json($wire, out);
-                        }
-                        $crate::json_codec!(@write_variant key, out, $body inner);
-                    })*
-                }
-                ::core::unreachable!("{key:?} is not a member of {}", ::core::stringify!($ty))
             }
         }
 
@@ -1191,22 +1264,41 @@ macro_rules! json_codec {
         $ty:ident { $($field:ident $([$($codec:tt)*])? $(= $default:expr)?),* $(,)? }
         $(check $check:expr)?
     ) => {
-        impl $crate::json::ToJson for $ty {
-            fn write_json(&self, out: &mut ::std::string::String) {
-                $crate::json::write_object(self, out);
-            }
-        }
+        const _: () = {
+            #[allow(non_camel_case_types, dead_code)]
+            enum Field { $($field),* }
+            const SOURCES: &[$crate::json::Source] = &[$($crate::json::Source {
+                field: Field::$field as usize,
+                keys: $crate::json_codec!(
+                    @keys $field [$($($codec)*)?] |value: &$ty| &value.$field
+                ),
+            }),*];
+            const MEMBERS: [$crate::json::Member; $crate::json::count(SOURCES)] =
+                $crate::json::members(SOURCES);
+            const KEYS: [&str; MEMBERS.len()] = $crate::json::keys(&MEMBERS);
 
-        impl $crate::json::JsonObject for $ty {
-            fn members<'a>(&'a self, members: &mut $crate::json::Members<'a>) {
-                $($crate::json_codec!(@list members, self, $field, &self.$field, [$($($codec)*)?]);)*
+            impl $crate::json::ToJson for $ty {
+                fn write_json(&self, out: &mut ::std::string::String) {
+                    $crate::json::write_members(MEMBERS.len(), out, |index, out| {
+                        $crate::json::JsonObject::write_member(self, index, out)
+                    });
+                }
             }
 
-            fn write_member(&self, key: &str, out: &mut ::std::string::String) {
-                $($crate::json_codec!(@write key, out, $field, &self.$field, [$($($codec)*)?]);)*
-                ::core::unreachable!("{key:?} is not a member of {}", ::core::stringify!($ty))
+            impl $crate::json::JsonObject for $ty {
+                const KEYS: &'static [&'static str] = &KEYS;
+
+                fn write_member(&self, index: usize, out: &mut ::std::string::String) {
+                    let member = MEMBERS[index];
+                    match member.field {
+                        $(field if field == Field::$field as usize => $crate::json_codec!(
+                            @member out, &self.$field, member.index, $field, [$($($codec)*)?]
+                        ),)*
+                        _ => ::core::unreachable!(),
+                    }
+                }
             }
-        }
+        };
 
         impl $crate::json::FromJson for $ty {
             fn from_json(value: &$crate::json::Json) -> $crate::json::Result<Self> {
@@ -1221,26 +1313,27 @@ macro_rules! json_codec {
         }
     };
 
-    // One field into the member list of `owner`, which writes it.
-    (@list $members:ident, $owner:expr, $field:ident, $v:expr, [flatten]) => {
-        $crate::json::JsonObject::members($v, $members)
+    // The keys one field writes; `$access` names the field's type.
+    (@keys $field:ident [flatten] $access:expr) => {
+        $crate::json::keys_of($access)
     };
-    (@list $members:ident, $owner:expr, $field:ident, $v:expr, [$($codec:tt)*]) => {
-        $members.push(::core::stringify!($field), $owner)
+    (@keys $field:ident [$($codec:tt)*] $access:expr) => {
+        &[::core::stringify!($field)]
     };
 
-    // One field's value, when it is the member `key`.
-    (@write $key:ident, $out:ident, $field:ident, $v:expr, []) => {
-        if $key == ::core::stringify!($field) {
-            return $crate::json::ToJson::write_json($v, $out);
-        }
+    // One field's member, key and value; `$index` picks the member of a
+    // `[flatten]` field.
+    (@member $out:ident, $v:expr, $index:expr, $field:ident, []) => {{
+        $out.push_str(::core::concat!("\"", ::core::stringify!($field), "\":"));
+        $crate::json::ToJson::write_json($v, $out)
+    }};
+    (@member $out:ident, $v:expr, $index:expr, $field:ident, [with $codec:ident]) => {{
+        $out.push_str(::core::concat!("\"", ::core::stringify!($field), "\":"));
+        $codec::write_json($v, $out)
+    }};
+    (@member $out:ident, $v:expr, $index:expr, $field:ident, [flatten]) => {
+        $crate::json::JsonObject::write_member($v, $index, $out)
     };
-    (@write $key:ident, $out:ident, $field:ident, $v:expr, [with $codec:ident]) => {
-        if $key == ::core::stringify!($field) {
-            return $codec::write_json($v, $out);
-        }
-    };
-    (@write $key:ident, $out:ident, $field:ident, $v:expr, [flatten]) => {};
 
     // One field out of the object `value`.
     (@take $value:ident, $field:ident, []) => {
@@ -1262,8 +1355,9 @@ macro_rules! json_codec {
         $crate::json::FromJson::from_json($value)?
     };
 
-    // Enum variants: the match pattern, the encoding of its fields, and
-    // the decoded value. `$inner` binds a `(flatten)` variant's field.
+    // Enum variants: the match pattern, the encoding of the tag and the
+    // fields, and the decoded value. `$inner` binds a `(flatten)`
+    // variant's field. The tag is the member whose field is `TAG`.
     (@pat $variant:ident {
         $($field:ident $([$($codec:tt)*])? $(= $default:expr)?),* $(,)?
     } $inner:ident) => {
@@ -1272,20 +1366,64 @@ macro_rules! json_codec {
     (@pat $variant:ident (flatten) $inner:ident) => {
         Self::$variant($inner)
     };
-    (@list_variant $members:ident, $owner:expr, {
+    (@write_variant $out:ident, $ty:ident, $tag:literal, $variant:ident $wire:literal {
         $($field:ident $([$($codec:tt)*])? $(= $default:expr)?),* $(,)?
-    } $inner:ident) => {
-        $($crate::json_codec!(@list $members, $owner, $field, $field, [$($($codec)*)?]);)*
-    };
-    (@list_variant $members:ident, $owner:expr, (flatten) $inner:ident) => {
-        $crate::json::JsonObject::members($inner, $members)
-    };
-    (@write_variant $key:ident, $out:ident, {
-        $($field:ident $([$($codec:tt)*])? $(= $default:expr)?),* $(,)?
-    } $inner:ident) => {
-        $($crate::json_codec!(@write $key, $out, $field, $field, [$($($codec)*)?]);)*
-    };
-    (@write_variant $key:ident, $out:ident, (flatten) $inner:ident) => {};
+    } $inner:ident) => {{
+        #[allow(non_camel_case_types, dead_code)]
+        enum Field { $($field),* }
+        const TAG: usize = usize::MAX;
+        const SOURCES: &[$crate::json::Source] = &[
+            $crate::json::Source { field: TAG, keys: &[$tag] },
+            $($crate::json::Source {
+                field: Field::$field as usize,
+                keys: $crate::json_codec!(@keys $field [$($($codec)*)?] |value: &$ty| match value {
+                    $ty::$variant { $field, .. } => $field,
+                    #[allow(unreachable_patterns)]
+                    _ => ::core::unreachable!(),
+                }),
+            },)*
+        ];
+        $crate::json_codec!(@write_tagged $out, $tag, $wire, SOURCES, (field, index) {
+            $(field if field == Field::$field as usize => $crate::json_codec!(
+                @member $out, $field, index, $field, [$($($codec)*)?]
+            ),)*
+        })
+    }};
+    (@write_variant $out:ident, $ty:ident, $tag:literal, $variant:ident $wire:literal (flatten) $inner:ident) => {{
+        const TAG: usize = usize::MAX;
+        const SOURCES: &[$crate::json::Source] = &[
+            $crate::json::Source { field: TAG, keys: &[$tag] },
+            $crate::json::Source {
+                field: 0,
+                keys: $crate::json::keys_of(|value: &$ty| match value {
+                    $ty::$variant(inner) => inner,
+                    #[allow(unreachable_patterns)]
+                    _ => ::core::unreachable!(),
+                }),
+            },
+        ];
+        $crate::json_codec!(@write_tagged $out, $tag, $wire, SOURCES, (field, index) {
+            _ => $crate::json::JsonObject::write_member($inner, index, $out),
+        })
+    }};
+    // Writes one variant's members, `TAG` being the tag's field in
+    // `$sources`; `$arms` match `$field` to write any other member.
+    (@write_tagged $out:ident, $tag:literal, $wire:literal, $sources:ident,
+        ($field:ident, $index:ident) { $($arms:tt)* }) => {{
+        const _: () = ::core::assert!($crate::json::plain($wire), "a wire name must need no escape");
+        const MEMBERS: [$crate::json::Member; $crate::json::count($sources)] =
+            $crate::json::members($sources);
+        $crate::json::write_members(MEMBERS.len(), $out, |index, $out| {
+            #[allow(unused_variables)]
+            let $crate::json::Member { field: $field, index: $index, .. } = MEMBERS[index];
+            match $field {
+                TAG => $out.push_str(::core::concat!("\"", $tag, "\":\"", $wire, "\"")),
+                $($arms)*
+                #[allow(unreachable_patterns)]
+                _ => ::core::unreachable!(),
+            }
+        })
+    }};
     (@build $value:ident $variant:ident {
         $($field:ident $([$($codec:tt)*])? $(= $default:expr)?),* $(,)?
     }) => {
@@ -1485,6 +1623,34 @@ mod tests {
         enum Msg tag "op" { Put "put" { rec, seq = None }, Flat "flat" (flatten), Ping "ping" {} }
     }
 
+    /// Flattened into [`Outer`] and [`Shape`], whose own keys and tag sort
+    /// between its keys.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Span {
+        a: u32,
+        m: u32,
+        z: u32,
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Outer {
+        y: u32,
+        span: Span,
+        b: u32,
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Shape {
+        Sized { width: u32, span: Span, area: u32 },
+        Wrapped(Box<Outer>),
+    }
+
+    crate::json_codec! { Span { z, a, m } }
+    crate::json_codec! { Outer { y, span [flatten], b } }
+    crate::json_codec! {
+        enum Shape tag "kind" { Sized "sized" { width, span [flatten], area }, Wrapped "wrapped" (flatten) }
+    }
+
     #[test]
     fn declared_codecs_round_trip_and_name_the_field() {
         let rec = Rec { owner: Id { id: 255 }, n: 3, label: None };
@@ -1498,6 +1664,26 @@ mod tests {
             msg.write_json(&mut direct);
             assert_eq!(direct, text, "direct write sorts flattened members and the tag");
             assert_eq!(Msg::from_json(&Json::parse(&text).unwrap()).unwrap(), msg, "{text}");
+        }
+        // Flattened keys sort before, between and after the record's own,
+        // and the tag between a variant's fields, whatever the declared
+        // order.
+        let span = Span { a: 1, m: 3, z: 5 };
+        let outer = Outer { y: 4, span: span.clone(), b: 2 };
+        let sized = Shape::Sized { width: 6, span, area: 0 };
+        let wrapped = Shape::Wrapped(Box::new(outer.clone()));
+        let mut direct = String::new();
+        outer.write_json(&mut direct);
+        assert_eq!(direct, r#"{"a":1,"b":2,"m":3,"y":4,"z":5}"#);
+        assert_eq!(Outer::from_json(&Json::parse(&direct).unwrap()).unwrap(), outer);
+        for (shape, text) in [
+            (sized, r#"{"a":1,"area":0,"kind":"sized","m":3,"width":6,"z":5}"#),
+            (wrapped, r#"{"a":1,"b":2,"kind":"wrapped","m":3,"y":4,"z":5}"#),
+        ] {
+            let mut direct = String::new();
+            shape.write_json(&mut direct);
+            assert_eq!(direct, text);
+            assert_eq!(Shape::from_json(&Json::parse(text).unwrap()).unwrap(), shape);
         }
         for (text, needle) in [
             (r#"{"op":"pong"}"#, r#"unknown op "pong""#),

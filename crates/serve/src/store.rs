@@ -292,6 +292,71 @@ struct CacheSlot {
     profile: Arc<Profile>,
 }
 
+/// The decoded profiles of the records read last, at most `cap` of them:
+/// past capacity the least recently used slot is evicted, found in
+/// `O(log n)` through an index of slots by last use.
+struct ReadCache {
+    slots: BTreeMap<StoreKey, CacheSlot>,
+    /// Every slot's `last_use` with its key, least recently used first.
+    by_use: BTreeMap<u64, StoreKey>,
+    cap: usize,
+    /// The clock `last_use` reads: bumped by every hit and insert.
+    tick: u64,
+}
+
+impl ReadCache {
+    fn new(cap: usize) -> Self {
+        ReadCache {
+            slots: BTreeMap::new(),
+            by_use: BTreeMap::new(),
+            cap,
+            tick: 0,
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The cached profile of `key` if it is the record at `seq`, marked
+    /// as the most recently used.
+    fn get(&mut self, key: StoreKey, seq: u64) -> Option<Arc<Profile>> {
+        let slot = self.slots.get_mut(&key).filter(|slot| slot.seq == seq)?;
+        self.tick += 1;
+        self.by_use.remove(&slot.last_use);
+        self.by_use.insert(self.tick, key);
+        slot.last_use = self.tick;
+        Some(slot.profile.clone())
+    }
+
+    /// Caches `profile` as the most recently used entry, evicting the
+    /// least recently used past capacity.
+    fn insert(&mut self, key: StoreKey, seq: u64, profile: Arc<Profile>) {
+        self.tick += 1;
+        let slot = CacheSlot { last_use: self.tick, seq, profile };
+        if let Some(old) = self.slots.insert(key, slot) {
+            self.by_use.remove(&old.last_use);
+        }
+        self.by_use.insert(self.tick, key);
+        while self.slots.len() > self.cap {
+            let (_, oldest) = self.by_use.pop_first().expect("a slot per use");
+            self.slots.remove(&oldest);
+        }
+    }
+
+    fn remove(&mut self, key: StoreKey) {
+        if let Some(slot) = self.slots.remove(&key) {
+            self.by_use.remove(&slot.last_use);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.by_use.clear();
+    }
+}
+
 /// An open profile store (single writer; the daemon serializes access).
 pub struct ProfileStore {
     dir: PathBuf,
@@ -302,9 +367,7 @@ pub struct ProfileStore {
     read: Option<File>,
     data_len: u64,
     map: BTreeMap<StoreKey, IndexEntry>,
-    cache: BTreeMap<StoreKey, CacheSlot>,
-    cache_cap: usize,
-    tick: u64,
+    cache: ReadCache,
     stats: StoreStats,
     /// Set by [`ProfileStore::put_torn`]: the file tail is deliberately
     /// damaged and further appends would write unrecoverable framing.
@@ -399,9 +462,7 @@ impl ProfileStore {
                 read: None,
                 data_len: opened.len,
                 map,
-                cache: BTreeMap::new(),
-                cache_cap,
-                tick: 0,
+                cache: ReadCache::new(cache_cap),
                 stats: StoreStats::default(),
                 poisoned: false,
                 faults,
@@ -506,7 +567,7 @@ impl ProfileStore {
                 checksum: checksum64(&payload),
             },
         );
-        self.cache_insert(key, seq, Arc::new(profile.clone()));
+        self.cache.insert(key, seq, Arc::new(profile.clone()));
         self.stats.puts += 1;
         Ok(seq)
     }
@@ -603,16 +664,12 @@ impl ProfileStore {
             Some(e) => e.clone(),
             None => return Ok(GetOutcome::Miss),
         };
-        if let Some(slot) = self.cache.get_mut(&key) {
-            if slot.seq == entry.seq {
-                self.tick += 1;
-                slot.last_use = self.tick;
-                self.stats.cache_hits += 1;
-                return Ok(GetOutcome::Hit {
-                    seq: entry.seq,
-                    profile: slot.profile.clone(),
-                });
-            }
+        if let Some(profile) = self.cache.get(key, entry.seq) {
+            self.stats.cache_hits += 1;
+            return Ok(GetOutcome::Hit {
+                seq: entry.seq,
+                profile,
+            });
         }
         self.stats.cache_misses += 1;
         let payload = match self.read_payload(key, &entry)? {
@@ -625,7 +682,7 @@ impl ProfileStore {
         match decode_profile(&payload) {
             Ok(profile) => {
                 let profile = Arc::new(profile);
-                self.cache_insert(key, entry.seq, profile.clone());
+                self.cache.insert(key, entry.seq, profile.clone());
                 Ok(GetOutcome::Hit {
                     seq: entry.seq,
                     profile,
@@ -693,7 +750,7 @@ impl ProfileStore {
                 self.map.insert(key, entry.clone());
                 self.stats.repaired_records += 1;
                 let profile = Arc::new(profile);
-                self.cache_insert(key, entry.seq, profile.clone());
+                self.cache.insert(key, entry.seq, profile.clone());
                 Ok(Some((entry.seq, profile)))
             }
             None => {
@@ -755,7 +812,7 @@ impl ProfileStore {
                 },
             );
         }
-        self.cache.remove(&key);
+        self.cache.remove(key);
         self.stats.quarantined_records += 1;
     }
 
@@ -916,22 +973,6 @@ impl ProfileStore {
         atomic_write(&self.index_path(), &buf)
     }
 
-    /// Caches `profile` as the most recently used entry, evicting the
-    /// least recently used past capacity.
-    fn cache_insert(&mut self, key: StoreKey, seq: u64, profile: Arc<Profile>) {
-        self.tick += 1;
-        let last_use = self.tick;
-        self.cache.insert(key, CacheSlot { last_use, seq, profile });
-        while self.cache.len() > self.cache_cap {
-            let oldest = self
-                .cache
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_use)
-                .map(|(k, _)| *k)
-                .expect("non-empty cache");
-            self.cache.remove(&oldest);
-        }
-    }
 }
 
 /// The data-log key of a record: camera | grid | seq.
@@ -1712,6 +1753,45 @@ mod tests {
         let misses_before = store.stats().cache_misses;
         store.get(keys[0]).unwrap().unwrap();
         assert_eq!(store.stats().cache_misses, misses_before + 1);
+    }
+
+    #[test]
+    fn read_cache_evicts_the_least_recently_used_key() {
+        // Random gets and puts over 6 keys on a store with room for 3:
+        // after every operation the cache holds exactly the 3 keys a
+        // reference LRU list holds, in the same order of last use. A get
+        // of a key never put touches nothing.
+        use std::collections::BTreeSet;
+        const CAP: usize = 3;
+        let dir = tmp_store("lru");
+        let (mut store, _) = ProfileStore::open_with_cache(&dir, "fleet", CAP).unwrap();
+        let keys: Vec<StoreKey> = (0..6).map(|i| StoreKey::new(i, 0)).collect();
+        let mut rng = smokescreen_rt::rng::StdRng::seed_from_u64(22);
+        let mut stored = BTreeSet::new();
+        // Least recently used first.
+        let mut reference: Vec<StoreKey> = Vec::new();
+        for step in 0..600 {
+            let key = keys[rng.gen_range(0..keys.len())];
+            if rng.gen_bool(0.3) {
+                store.put(key, &sample_profile(key.camera)).unwrap();
+                stored.insert(key);
+            } else {
+                let found = store.get(key).unwrap().is_some();
+                assert_eq!(found, stored.contains(&key), "step {step}: get {key:?}");
+            }
+            if stored.contains(&key) {
+                reference.retain(|k| *k != key);
+                reference.push(key);
+                if reference.len() > CAP {
+                    reference.remove(0);
+                }
+            }
+            let by_use: Vec<StoreKey> = store.cache.by_use.values().copied().collect();
+            assert_eq!(by_use, reference, "step {step}: recency order");
+            let cached: BTreeSet<StoreKey> = store.cache.slots.keys().copied().collect();
+            assert_eq!(cached, reference.iter().copied().collect(), "step {step}: cached keys");
+        }
+        assert!(store.stats().cache_hits > 0 && store.stats().cache_misses > 0);
     }
 
     /// A plan hot enough that faults fire on the small op sets below.

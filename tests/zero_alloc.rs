@@ -146,12 +146,12 @@ fn presized_order_kernel_ingests_rungs_without_allocating() {
 fn warm_reply_buffer_encodes_profile_and_tradeoff_replies_without_allocating() {
     // The daemon encodes each reply with `write_json` into a `FrameBuf`
     // its worker reuses. Once that buffer has held the largest reply, the
-    // served profile and tradeoff replies encode without touching the
-    // heap: no tree, no owned keys, no per-member list for records of
-    // normal size.
+    // served profile, tradeoff and stats replies encode without touching
+    // the heap: no tree, no owned keys, no member list, whatever the
+    // number of members (`ServerStats` has more than a dozen).
     use smokescreen_bench::serve_client::sample_profile;
     use smokescreen_serve::protocol::FrameBuf;
-    use smokescreen_serve::{DriftStatus, Response, StoreKey};
+    use smokescreen_serve::{DriftStatus, Response, ServerStats, StoreKey};
 
     let profile = sample_profile(42, 12);
     let drift = DriftStatus {
@@ -171,6 +171,11 @@ fn warm_reply_buffer_encodes_profile_and_tradeoff_replies_without_allocating() {
             degraded: false,
         },
         Response::Tradeoff { matches: profile.points },
+        Response::Stats(Box::new(ServerStats {
+            requests: 9,
+            repair_queue: vec!["00c5a2e19f034b77:000000000000002a".into()],
+            ..ServerStats::default()
+        })),
     ];
     let mut reply = FrameBuf::default();
     for response in &replies {
@@ -205,5 +210,5 @@ fn profile_reply_parses_in_few_allocations() {
     let (stats, tree) = alloc::measure(|| Json::parse(&text).expect("the reply parses"));
     assert_eq!(Response::from_json(&tree).expect("the tree decodes"), reply);
     eprintln!("{} B reply: {} allocations", text.len(), stats.count);
-    assert!(stats.count <= 48, "parsing the profile reply allocated {} times", stats.count);
+    assert!(stats.count <= 38, "parsing the profile reply allocated {} times", stats.count);
 }
