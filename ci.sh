@@ -60,6 +60,16 @@ echo "=== JSON tree: Json::parse(v.encode()) == v for random trees at 2000 cases
 SMOKESCREEN_PT_CASES=2000 cargo test -q --offline -p smokescreen-rt --lib \
   json::tests::parse_round_trips_random_trees
 
+echo "=== output table: served counts equal direct detection at widths 1, 2, 8 at 2000 cases ==="
+# Each OutputCache slot holds a key's per-class counts, not its
+# detections. The property draws random (frame, resolution, class)
+# batches under a 0.05 fault plan and checks every served count against
+# detector.detect(f, res).count(class), and model_runs, cache_hits and
+# failed_calls at widths 2 and 8 against width 1. It ran at its default
+# case count above; here it runs again at 2000.
+SMOKESCREEN_PT_CASES=2000 cargo test -q --offline -p smokescreen-models --lib \
+  cache::tests::count_table_matches_direct_detection
+
 echo "=== allocation contracts: tests/zero_alloc.rs in a release build ==="
 # The daemon and perfbench ship release builds; the workspace suites
 # above check the zero-allocation and allocation-count contracts only in

@@ -1,7 +1,5 @@
 //! Shared simulator machinery used by the concrete models.
 
-use std::collections::HashMap;
-
 use smokescreen_video::{BBox, Frame, ObjectClass, Resolution};
 
 use crate::detector::{Detection, Detections};
@@ -16,12 +14,25 @@ const STREAM_FP: u64 = 3;
 const STREAM_FP_GEOM: u64 = 4;
 const STREAM_DUP: u64 = 5;
 
+/// A model's response curve per class, indexed by [`ObjectClass::index`]:
+/// `None` for a class the model does not know.
+pub(crate) type Curves = [Option<ResponseCurve>; ObjectClass::ALL.len()];
+
+/// [`Curves`] from `(class, curve)` pairs.
+pub(crate) fn curves(pairs: &[(ObjectClass, ResponseCurve)]) -> Curves {
+    let mut curves = Curves::default();
+    for &(class, curve) in pairs {
+        curves[class.index()] = Some(curve);
+    }
+    curves
+}
+
 /// Deterministic detector core: per-object logistic recall + per-frame
 /// false positives, all decided by hashing.
 #[derive(Debug, Clone)]
 pub(crate) struct SimBackbone {
     pub seed: u64,
-    pub curves: HashMap<ObjectClass, ResponseCurve>,
+    pub curves: Curves,
     /// Expected false positives per frame at native resolution.
     pub fp_rate_native: f64,
     /// Exponent controlling FP growth as resolution falls.
@@ -35,11 +46,11 @@ pub(crate) struct SimBackbone {
 
 impl SimBackbone {
     pub(crate) fn detect(&self, frame: &Frame, res: Resolution) -> Detections {
-        let mut items = Vec::new();
+        let mut items = Vec::with_capacity(frame.objects.len());
         let res_words = [u64::from(res.width), u64::from(res.height)];
 
         for obj in &frame.objects {
-            let Some(curve) = self.curves.get(&obj.class) else {
+            let Some(curve) = &self.curves[obj.class.index()] else {
                 continue; // class unknown to this model
             };
             let p = curve.detect_probability(obj, res);

@@ -5,11 +5,9 @@
 //! frame. Per the paper, the default architecture only accepts input
 //! resolutions that are multiples of 64, with a native 640×640.
 
-use std::collections::HashMap;
-
 use smokescreen_video::{Frame, ObjectClass, Resolution};
 
-use crate::backbone::SimBackbone;
+use crate::backbone::{curves, SimBackbone};
 use crate::detector::{Detections, Detector};
 use crate::response::ResponseCurve;
 
@@ -22,29 +20,22 @@ pub struct SimMaskRcnn {
 impl SimMaskRcnn {
     /// Standard configuration (threshold 0.7, native 640×640).
     pub fn new(seed: u64) -> Self {
-        let mut curves = HashMap::new();
         let vehicle = ResponseCurve {
             area50: 240.0,
             slope: 1.15,
             p_max: 0.99,
             contrast_gamma: 1.3,
         };
-        curves.insert(ObjectClass::Car, vehicle);
-        curves.insert(ObjectClass::Truck, ResponseCurve { area50: 300.0, ..vehicle });
-        curves.insert(ObjectClass::Bus, ResponseCurve { area50: 320.0, ..vehicle });
-        curves.insert(
-            ObjectClass::Bicycle,
-            ResponseCurve { area50: 210.0, p_max: 0.95, ..vehicle },
-        );
-        curves.insert(
-            ObjectClass::Person,
-            ResponseCurve {
-                area50: 190.0,
-                slope: 1.1,
-                p_max: 0.975,
-                contrast_gamma: 1.25,
-            },
-        );
+        let curves = curves(&[
+            (ObjectClass::Car, vehicle),
+            (ObjectClass::Truck, ResponseCurve { area50: 300.0, ..vehicle }),
+            (ObjectClass::Bus, ResponseCurve { area50: 320.0, ..vehicle }),
+            (ObjectClass::Bicycle, ResponseCurve { area50: 210.0, p_max: 0.95, ..vehicle }),
+            (
+                ObjectClass::Person,
+                ResponseCurve { area50: 190.0, slope: 1.1, p_max: 0.975, contrast_gamma: 1.25 },
+            ),
+        ]);
         SimMaskRcnn {
             backbone: SimBackbone {
                 seed: seed ^ 0x4D_52_43_4E, // "MRCN"

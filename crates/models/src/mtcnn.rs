@@ -5,11 +5,9 @@
 //! as prior information. Faces are tiny objects, so the cascade has a very
 //! low `area50` but collapses quickly once frames shrink.
 
-use std::collections::HashMap;
-
 use smokescreen_video::{Frame, ObjectClass, Resolution};
 
-use crate::backbone::SimBackbone;
+use crate::backbone::{curves, SimBackbone};
 use crate::detector::{Detections, Detector};
 use crate::response::ResponseCurve;
 
@@ -22,20 +20,11 @@ pub struct SimMtcnn {
 impl SimMtcnn {
     /// Standard configuration (threshold 0.8).
     pub fn new(seed: u64) -> Self {
-        let mut curves = HashMap::new();
-        curves.insert(
-            ObjectClass::Face,
-            ResponseCurve {
-                area50: 36.0,
-                slope: 1.6,
-                p_max: 0.97,
-                contrast_gamma: 1.2,
-            },
-        );
+        let face = ResponseCurve { area50: 36.0, slope: 1.6, p_max: 0.97, contrast_gamma: 1.2 };
         SimMtcnn {
             backbone: SimBackbone {
                 seed: seed ^ 0x4D_54_43_4E, // "MTCN"
-                curves,
+                curves: curves(&[(ObjectClass::Face, face)]),
                 fp_rate_native: 0.002,
                 fp_resolution_exponent: 0.2,
                 fp_classes: vec![ObjectClass::Face],

@@ -15,11 +15,9 @@
 //!   resolution, which is exactly why administrators need profiles instead
 //!   of intuition.
 
-use std::collections::HashMap;
-
 use smokescreen_video::{Frame, ObjectClass, Resolution};
 
-use crate::backbone::SimBackbone;
+use crate::backbone::{curves, SimBackbone};
 use crate::detector::{Detections, Detector};
 use crate::response::ResponseCurve;
 
@@ -44,29 +42,22 @@ struct QuirkBand {
 impl SimYoloV4 {
     /// Standard configuration (threshold 0.7, native 608×608).
     pub fn new(seed: u64) -> Self {
-        let mut curves = HashMap::new();
         let vehicle = ResponseCurve {
             area50: 320.0,
             slope: 1.25,
             p_max: 0.985,
             contrast_gamma: 1.5,
         };
-        curves.insert(ObjectClass::Car, vehicle);
-        curves.insert(ObjectClass::Truck, ResponseCurve { area50: 380.0, ..vehicle });
-        curves.insert(ObjectClass::Bus, ResponseCurve { area50: 400.0, ..vehicle });
-        curves.insert(
-            ObjectClass::Bicycle,
-            ResponseCurve { area50: 260.0, p_max: 0.93, ..vehicle },
-        );
-        curves.insert(
-            ObjectClass::Person,
-            ResponseCurve {
-                area50: 240.0,
-                slope: 1.2,
-                p_max: 0.96,
-                contrast_gamma: 1.4,
-            },
-        );
+        let curves = curves(&[
+            (ObjectClass::Car, vehicle),
+            (ObjectClass::Truck, ResponseCurve { area50: 380.0, ..vehicle }),
+            (ObjectClass::Bus, ResponseCurve { area50: 400.0, ..vehicle }),
+            (ObjectClass::Bicycle, ResponseCurve { area50: 260.0, p_max: 0.93, ..vehicle }),
+            (
+                ObjectClass::Person,
+                ResponseCurve { area50: 240.0, slope: 1.2, p_max: 0.96, contrast_gamma: 1.4 },
+            ),
+        ]);
         SimYoloV4 {
             backbone: SimBackbone {
                 seed: seed ^ 0x59_4F_4C_4F, // "YOLO"

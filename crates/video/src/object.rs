@@ -35,6 +35,12 @@ impl ObjectClass {
         ObjectClass::Face,
     ];
 
+    /// This class's position in [`ALL`](Self::ALL), for tables indexed
+    /// by class.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Whether the paper treats this class as privacy-sensitive.
     pub fn is_sensitive(self) -> bool {
         matches!(self, ObjectClass::Person | ObjectClass::Face)
@@ -236,6 +242,7 @@ mod tests {
     fn class_round_trip() {
         for class in ObjectClass::ALL {
             assert_eq!(class.name().parse::<ObjectClass>().unwrap(), class);
+            assert_eq!(ObjectClass::ALL[class.index()], class);
         }
         assert!("drone".parse::<ObjectClass>().is_err());
     }
