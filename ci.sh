@@ -70,6 +70,15 @@ echo "=== output table: served counts equal direct detection at widths 1, 2, 8 a
 SMOKESCREEN_PT_CASES=2000 cargo test -q --offline -p smokescreen-models --lib \
   cache::tests::count_table_matches_direct_detection
 
+echo "=== pool: order, panics, balance and scope concurrency at 2000 cases ==="
+# rt::pool runs each call on the caller plus scoped helper threads. Its
+# properties check that parallel maps equal the sequential map at widths
+# 1-8, that a panicking task propagates without hanging, and that guided
+# chunk claims cover the input and stay balanced. They ran at their
+# default case count above; here they run again at 2000.
+SMOKESCREEN_PT_CASES=2000 cargo test -q --offline -p smokescreen-rt --lib \
+  pool::tests
+
 echo "=== allocation contracts: tests/zero_alloc.rs in a release build ==="
 # The daemon and perfbench ship release builds; the workspace suites
 # above check the zero-allocation and allocation-count contracts only in
@@ -86,10 +95,9 @@ CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path per
 echo "=== chaos suite: fault rates {0, 0.05} x threads {1, 8, 16} ==="
 # Deterministic fault injection: rate 0 must be byte-invisible; rate 0.05
 # must injure model calls yet replay byte-identically at any worker
-# count — including 16 workers on the persistent pool, where helpers
-# outnumber cores and every job runs on warm threads. The bound-validity
-# chaos tests (5% and 20% rates) already ran in the workspace suites
-# above.
+# count — including 16 workers, where helpers outnumber cores. The
+# bound-validity chaos tests (5% and 20% rates) already ran in the
+# workspace suites above.
 for rate in 0 0.05; do
   for threads in 1 8 16; do
     echo "--- chaos @ rate=$rate threads=$threads ---"

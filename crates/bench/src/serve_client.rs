@@ -567,13 +567,6 @@ impl FaultClient {
             },
         )
     }
-
-    /// The last sequence number this client observed for `key` (acked
-    /// put or served get), if any. The chaos audit compares these against
-    /// a cold reopen of the store: every acked write must still be there.
-    pub fn shadow_seq(&self, key: StoreKey) -> Option<u64> {
-        self.shadow.get(&key).copied()
-    }
 }
 
 struct ClientOutcome {

@@ -61,7 +61,7 @@ pub const DEFAULT_THRESHOLD: f64 = 0.25;
 /// `cell_path_steady_ingest` bench to record zero steady-state
 /// allocations.
 pub const FLOORS: &[(&str, f64)] = &[
-    // Persistent pool on latency-bound inference (sleeps overlap across
+    // Pool width on latency-bound inference (sleeps overlap across
     // workers, so the ratios do not depend on the host's core count).
     ("parallel_speedup_4w", 2.0),
     ("parallel_speedup_8w", 2.8),
@@ -674,7 +674,7 @@ fn repeat_sample_pairs(
 ///    parallel-speedup claim).
 /// 3. `generation_scaling_threads{1,2,8,16}` — generation under the same
 ///    simulated latency over a resolution-rich grid, at the four worker
-///    counts the persistent-pool scaling claim is made for.
+///    counts the pool scaling claim is made for.
 /// 4. `ingest_{scalar,slice}_{avg,max,median}` — per-element
 ///    `AggregateKernel::push` vs. batched `extend` over the same
 ///    pre-fetched ladder rungs (the SIMD-width slice-path claim).
@@ -785,10 +785,11 @@ pub fn run(config: &TrajectoryConfig, pr: u64, rev: String) -> Trajectory {
     // --- 3. Scaling curve at 1/2/8/16 workers. ---
     // A wider grid than bench 2 — sixteen resolution candidates — so 16
     // workers still have enough candidate-level parallelism to express a
-    // slope; per-candidate frame loops parallelize too, so the curve is
-    // latency-bound end to end. Kept separate from bench 2 so the
-    // `/1`-era `generation_threads{1,4}_latency` medians stay comparable
-    // across the schema bump.
+    // slope. `generate` parallelises cells only, and each cell's frame
+    // loop waits on the simulated latency, so the curve is latency-bound
+    // end to end. Kept separate from bench 2 so the `/1`-era
+    // `generation_threads{1,4}_latency` medians stay comparable across
+    // the schema bump.
     let scale_res_hi = if config.smoke { 5u32 } else { 17u32 };
     let scale_grid = CandidateGrid::explicit(
         vec![0.02, 0.05, 0.1],

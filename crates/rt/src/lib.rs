@@ -11,7 +11,7 @@
 //! | [`rng`]       | `rand`, `rand_distr`    | xoshiro256\*\* + SplitMix64; Poisson (PTRS), LogNormal, Box–Muller normal |
 //! | [`json`]      | `serde`, `serde_json`   | value model + `ToJson`/`FromJson`, one `json_codec!` declaration per shape |
 //! | [`sync`]      | `parking_lot`           | direct-guard `Mutex`/`RwLock` over `std::sync` |
-//! | [`pool`]      | `rayon` (subset)        | persistent, deterministic `parallel_map`/`scope` worker pool |
+//! | [`pool`]      | `rayon` (subset)        | scoped, deterministic `parallel_map`/`scope` worker pool |
 //! | [`proptest`]  | `proptest`              | seeded case generation, replay via printed seed, no shrinking |
 //! | [`bench`]     | `criterion` (subset)    | repeated median/p95 timer + counting allocator for the `trajectory` harness |
 //! | [`fault`]     | — (new subsystem)       | seeded, replayable fault + crash schedules for chaos testing |

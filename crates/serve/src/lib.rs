@@ -18,8 +18,8 @@
 //!   `STATS`, `SHUTDOWN`) with a typed error taxonomy. Malformed,
 //!   oversized, and depth-bombed frames get error *responses*, never a
 //!   hang or a panic.
-//! * [`server`] — a thread-per-core worker daemon on the persistent
-//!   `rt::pool`: one acceptor task feeding a bounded admission queue
+//! * [`server`] — a thread-per-core worker daemon on one `rt::pool`
+//!   scope: one acceptor task feeding a bounded admission queue
 //!   (overload is a typed rejection, not an unbounded backlog), N worker
 //!   tasks each owning a connection at a time, and a graceful shutdown
 //!   that flushes and compacts the store so a clean stop always leaves

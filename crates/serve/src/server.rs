@@ -1,5 +1,5 @@
-//! The serving daemon: thread-per-core workers on the persistent
-//! `rt::pool`, fed by one acceptor task through a **bounded admission
+//! The serving daemon: thread-per-core workers on one `rt::pool`
+//! scope, fed by one acceptor task through a **bounded admission
 //! queue**.
 //!
 //! Topology: a [`Server`] binds a Unix or TCP listener, opens the

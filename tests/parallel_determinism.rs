@@ -193,12 +193,12 @@ fn early_stopping_decisions_are_thread_count_independent() {
 
 #[test]
 fn warm_pool_replays_byte_identically_run_after_run() {
-    // The persistent pool keeps its workers parked between jobs, so the
-    // second `generate` here runs on threads that already executed the
-    // first — any worker-identity leak into scheduling (thread-local
-    // memo slots, chunk claiming, result ordering) would surface as a
-    // cold-vs-warm divergence. Three consecutive 16-worker runs must be
-    // byte-identical to each other and to the sequential path.
+    // Consecutive runs share the process, the output table's allocator
+    // state and whatever else outlives one `generate`; any leak of the
+    // schedule into results (chunk claiming, result ordering) would
+    // surface as a run-to-run divergence. Three consecutive 16-worker
+    // runs must be byte-identical to each other and to the sequential
+    // path.
     let fx = fixture(DatasetPreset::Detrac);
     let (reference, seq_runs, _) = generate(&fx, 1);
     let reference_bytes = reference.to_json().unwrap();
