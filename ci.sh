@@ -15,12 +15,15 @@
 #
 # The chaos suite then re-runs the generation stack under deterministic
 # fault injection (seeded FaultPlan via SMOKESCREEN_FAULT_SEED /
-# SMOKESCREEN_FAULT_RATE) at rates 0 and 0.05 × 1 and 8 workers: rate 0
-# proves the fault machinery is byte-invisible, rate 0.05 proves chaos
-# runs replay bit-for-bit across schedules. The crash-resume matrix does
-# the same for process deaths: a seeded CrashPlan kills generation at
-# deterministic journal commits and the resumed profiles must byte-equal
-# their pinned goldens at every kill point × thread count × fault rate.
+# SMOKESCREEN_FAULT_RATE) at rates 0 and 0.05 × 1, 8 and 16 workers:
+# rate 0 disarms the plan (an env rate of 0 builds none), rate 0.05
+# proves chaos runs replay bit-for-bit across schedules. That an armed
+# zero-rate plan is byte-invisible is checked by
+# tests/chaos.rs::disabled_faults_are_byte_invisible in every suite run.
+# The crash-resume matrix replays process deaths the same way: a seeded
+# CrashPlan kills generation at deterministic journal commits and the
+# resumed profiles must byte-equal their pinned goldens at every kill
+# point × thread count × fault rate.
 # The golden re-diff at the bottom runs with faults disabled and the
 # checkpoint directory explicitly unset, pinning the fault-free,
 # checkpoint-free fig4 CSVs to the committed snapshots.
@@ -93,9 +96,11 @@ echo "=== perfbench: builds against the workspace APIs, self-tests pass ==="
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "=== chaos suite: fault rates {0, 0.05} x threads {1, 8, 16} ==="
-# Deterministic fault injection: rate 0 must be byte-invisible; rate 0.05
-# must injure model calls yet replay byte-identically at any worker
-# count — including 16 workers, where helpers outnumber cores. The
+# Deterministic fault injection: rate 0 builds no plan, so the env test
+# must see no fault; rate 0.05 must injure model calls yet replay
+# byte-identically at any worker count — including 16 workers, where
+# helpers outnumber cores. The armed zero-rate plan is checked by
+# disabled_faults_are_byte_invisible in the same suite. The
 # bound-validity chaos tests (5% and 20% rates) already ran in the
 # workspace suites above.
 for rate in 0 0.05; do
@@ -158,13 +163,16 @@ echo "=== perf trajectory: full run, every acceptance floor enforced ==="
 # any falls short. It gets its own empty directory: in "$trajdir" itself
 # it would pick the smoke BENCH_6.json as its baseline and refuse the
 # smoke-vs-full comparison.
+# It prints each floor's ratio and minimum, and the cell path's
+# allocation count, so the log keeps the margins.
 ./target/release/trajectory run --reps 2 --pr 14 --out "$trajdir/full"
 
 echo "=== perf trajectory: committed BENCH files stay comparable ==="
 # The committed PR-10 trajectory must still pass the threshold gate
-# against the committed PR-9 baseline. New bench families (the serve_*
-# throughput rows) are reported but never gated, so this proves the
-# pre-existing numbers carry no regression past the default threshold.
+# against the committed PR-9 baseline. Both are committed files, so
+# this proves the recorded numbers carry no regression past the default
+# threshold whatever the suite now runs. (A fresh run compared against
+# either lists the retired serve_* throughput rows as MISSING.)
 ./target/release/trajectory check \
   --prev bench_results/BENCH_9.json --cur bench_results/BENCH_10.json >/dev/null
 echo "BENCH_9 -> BENCH_10 trajectory gate ok"
@@ -196,12 +204,13 @@ echo "serving slice ok: 1200 framed requests at 2 rates, clean shutdown, zero qu
 echo "=== chaos serving: supervised daemon under seeded disk+net faults ==="
 # The daemon runs with armed fault plans (seeded, replayable: every
 # injected failure is a pure function of (seed, rid/op)) and an induced
-# generation-1 crash after 150 answered requests. The retry client rides
-# through all of it — idempotent puts keyed on expected_seq, hedged
-# gets, reconnects across the supervisor restart — and must finish with
-# zero unexpected errors. `serve check --scrub` then proves the store
-# lost no acked write: scrub passes drain whatever the chaos
-# quarantined, and any unrepaired record fails the build.
+# generation-1 crash after 150 answered requests. serve_load's client
+# (every run retries) rides through all of it — idempotent puts keyed
+# on expected_seq, hedged gets, reconnects across the supervisor
+# restart — and must finish with zero unexpected errors. `serve check
+# --scrub` then proves the store lost no acked write: scrub passes drain
+# whatever the chaos quarantined, and any unrepaired record fails the
+# build.
 chaosstore="$trajdir/chaos-store"
 chaossock="$trajdir/chaos.sock"
 SMOKESCREEN_DISKFAULT_SEED=53596 SMOKESCREEN_DISKFAULT_RATE=0.08 \
@@ -212,38 +221,12 @@ chaos_pid=$!
 for _ in $(seq 1 200); do [ -S "$chaossock" ] && break; sleep 0.05; done
 [ -S "$chaossock" ] || { echo "chaos daemon never bound $chaossock" >&2; exit 1; }
 ./target/release/serve_load --addr "unix:$chaossock" \
-  --requests 400 --clients 4 --mix mixed --seed 44 --retry
+  --requests 400 --clients 4 --mix mixed --seed 44
 ./target/release/serve_load --addr "unix:$chaossock" \
-  --requests 200 --clients 2 --mix mixed --seed 45 --retry --shutdown
+  --requests 200 --clients 2 --mix mixed --seed 45 --shutdown
 wait "$chaos_pid"
 ./target/release/serve check --store "$chaosstore" --scrub
 echo "chaos serving slice ok: crash + faults survived, zero unrepaired records"
-
-echo "=== serving inertness: zero-rate armed plans vs none -> identical store bytes ==="
-# Armed-but-zero-rate disk/net fault plans must be byte-invisible: the
-# same seeded load against a plan-free daemon and a zero-rate-armed
-# daemon must compact to identical store bytes — the serving-layer
-# analogue of the perturbation-inertness gate below.
-for mode in off zero; do
-  inertstore="$trajdir/inert-$mode"
-  inertsock="$trajdir/inert-$mode.sock"
-  if [ "$mode" = zero ]; then
-    SMOKESCREEN_DISKFAULT_SEED=53596 SMOKESCREEN_DISKFAULT_RATE=0 \
-      SMOKESCREEN_NETFAULT_SEED=1255 SMOKESCREEN_NETFAULT_RATE=0 \
-      ./target/release/serve run --unix "$inertsock" --store "$inertstore" --threads 4 &
-  else
-    ./target/release/serve run --unix "$inertsock" --store "$inertstore" --threads 4 &
-  fi
-  inert_pid=$!
-  for _ in $(seq 1 200); do [ -S "$inertsock" ] && break; sleep 0.05; done
-  [ -S "$inertsock" ] || { echo "inert daemon never bound $inertsock" >&2; exit 1; }
-  ./target/release/serve_load --addr "unix:$inertsock" \
-    --requests 300 --clients 4 --mix mixed --seed 46 --shutdown
-  wait "$inert_pid"
-done
-diff "$trajdir/inert-off/profiles.data" "$trajdir/inert-zero/profiles.data"
-diff "$trajdir/inert-off/profiles.idx" "$trajdir/inert-zero/profiles.idx"
-echo "zero-rate fault plans are byte-invisible to the store"
 
 echo "=== content-fault robustness: smoke audit matrix + schema gate ==="
 # One kind (glare) × one rate × both corpora, 12 trials/cell: the
@@ -282,19 +265,19 @@ done
 echo "fig4 output identical to committed goldens"
 
 echo "=== perturbation inertness: zero-rate plan vs committed fig4 goldens ==="
-# An armed-but-zero-rate content-fault plan (SMOKESCREEN_PERTURB_RATE=0
-# with a seed and kind set) routes every experiment fixture through
-# PerturbPlan::apply, which must return the corpus unchanged — the same
-# inertness contract the chaos knobs honor above. Any byte drift against
-# the committed fig4 goldens means the perturbation stack leaks into the
-# clean path.
+# SMOKESCREEN_PERTURB_RATE=0 with a seed and kind set builds no plan
+# (an env rate of 0 disarms it), so Bench::new never calls
+# PerturbPlan::apply: this step proves that setting the other knobs
+# leaks nothing into the clean path. That an armed zero-rate plan
+# returns the corpus unchanged is checked by video's
+# perturb::tests::zero_rate_apply_is_identity in the suites above.
 env -u SMOKESCREEN_CHECKPOINT_DIR SMOKESCREEN_FAULT_RATE=0 \
   SMOKESCREEN_PERTURB_SEED=7 SMOKESCREEN_PERTURB_RATE=0 SMOKESCREEN_PERTURB_KIND=glare \
   ./target/release/repro fig4 fig6 --quick --seed 42 --threads 8 --out "$tmpdir/perturb0" >/dev/null
 for f in tests/golden/fig4_*.csv tests/golden/fig6_*.csv; do
   diff "$f" "$tmpdir/perturb0/$(basename "$f")"
 done
-# The crash-resume goldens must survive an armed zero-rate plan too.
+# The crash-resume goldens must survive the same knobs too.
 SMOKESCREEN_PERTURB_SEED=7 SMOKESCREEN_PERTURB_RATE=0 SMOKESCREEN_PERTURB_KIND=glare \
   cargo test -q --offline --test crash_resume
 echo "zero-rate perturbation plan is byte-invisible"

@@ -9,19 +9,20 @@
 //!
 //! `run` executes the suite, writes `BENCH_<pr>.json` under `--out`
 //! (default `bench_results/`), optionally validates its structural schema
-//! against a golden, compares against `--baseline` (default: the highest
-//! `BENCH_<m>.json` with `m < pr` in the out dir), and on full (non-smoke)
-//! runs asserts every floor in `trajectory::FLOORS`. `check` compares two
-//! existing files. Exit codes: 0 ok, 1 regression or floor failure, 2
-//! usage/schema/IO error — including a malformed flag value, which is
-//! never silently replaced by a default.
+//! against a golden, prints every floor's margin
+//! (`trajectory::floor_margins`; smoke runs are not gated), on full runs
+//! asserts every floor in `trajectory::FLOORS`, and compares against
+//! `--baseline` (default: the highest `BENCH_<m>.json` with `m < pr` in
+//! the out dir). `check` compares two existing files. Exit codes: 0 ok,
+//! 1 regression or floor failure, 2 usage/schema/IO error — including a
+//! malformed flag value, which is never silently replaced by a default.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use smokescreen_bench::trajectory::{
-    check_floors, check_schema_golden, compare, git_rev, highest_bench_number, latest_bench_below,
-    run, Trajectory, TrajectoryConfig, DEFAULT_THRESHOLD,
+    check_floors, check_schema_golden, compare, floor_margins, git_rev, highest_bench_number,
+    latest_bench_below, run, Trajectory, TrajectoryConfig, DEFAULT_THRESHOLD,
 };
 use smokescreen_rt::json::ToJson;
 
@@ -118,12 +119,17 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         println!("schema matches {golden}");
     }
 
-    // Full runs must meet every acceptance floor in the same file that
-    // records them.
-    if let Err(failures) = check_floors(&trajectory) {
-        for f in &failures {
-            eprintln!("trajectory: floor failed: {f}");
-        }
+    // Every run prints each floor's margin; full runs must meet every
+    // floor in the same file that records them.
+    for (line, met) in floor_margins(&trajectory) {
+        let verdict = match (trajectory.smoke, met) {
+            (true, _) => "not gated",
+            (false, true) => "ok",
+            (false, false) => "FAILED",
+        };
+        println!("floor {line}: {verdict}");
+    }
+    if check_floors(&trajectory).is_err() {
         return Ok(ExitCode::from(1));
     }
 

@@ -1,11 +1,10 @@
 //! Seeded load generation against a running `smokescreen-serve` daemon.
 //!
-//! The serving client half of the daemon story: [`run_load`] drives a
-//! fleet of deterministic clients (each its own connection, schedule
-//! derived from `seed × client`) against a [`ServeAddr`], counts every
-//! response by type, and reports wall time plus request-latency
-//! percentiles. Both `ci.sh` (via the `serve_load` bin) and the
-//! trajectory harness's `serve_*_throughput` benches sit on this module.
+//! [`run_load`] drives a fleet of deterministic clients (each its own
+//! connection, schedule derived from `seed × client`) against a
+//! [`ServeAddr`], counts every response by type, and reports wall time
+//! plus request-latency percentiles. `ci.sh` drives it through the
+//! `serve_load` bin.
 //!
 //! Determinism: the request *schedule* is a pure function of the config.
 //! Profile payloads come from [`sample_profile`], which is a pure
@@ -14,13 +13,13 @@
 //! store's per-key sequence numbers and key-ordered compaction do the
 //! rest).
 //!
-//! The fault-tolerant half is [`FaultClient`]: idempotent puts keyed on
+//! Every client is a [`FaultClient`]: idempotent puts keyed on
 //! `expected_seq` (a resent ack-lost put dedups instead of
 //! double-applying), hedged gets, deterministic [`RetryPolicy`] backoff
 //! (simulated — counted, not slept — so chaos runs stay fast and
 //! replayable), and request ids stamped on every frame so the server's
 //! seeded `NetFaultPlan` makes per-request fault decisions that replay
-//! bit-for-bit. `run_load` drives it when [`LoadConfig::retry`] is set.
+//! bit-for-bit. Against a daemon with no fault plan no retry fires.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -80,11 +79,6 @@ pub struct LoadConfig {
     pub mix: LoadMix,
     /// Schedule seed.
     pub seed: u64,
-    /// When set, clients run through [`FaultClient`] — idempotent
-    /// retried puts, hedged gets, reconnect-on-failure — instead of the
-    /// plain fail-fast connection. Required for any run against a daemon
-    /// with armed fault plans.
-    pub retry: Option<RetryPolicy>,
 }
 
 impl LoadConfig {
@@ -98,7 +92,6 @@ impl LoadConfig {
             points: 12,
             mix: LoadMix::Mixed,
             seed: 1,
-            retry: None,
         }
     }
 }
@@ -106,7 +99,8 @@ impl LoadConfig {
 /// Aggregated outcome of a load run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoadReport {
-    /// Requests sent (== responses received; every request is answered).
+    /// Logical ops run. Retries, and the one `get` that syncs a key's
+    /// sequence number before its first put, are not counted.
     pub requests: usize,
     /// `ok` responses to puts.
     pub puts: u64,
@@ -128,13 +122,12 @@ pub struct LoadReport {
     pub p99_us: f64,
     /// Slowest request, µs.
     pub max_us: f64,
-    /// Re-sent attempts beyond the first, across all ops (retry mode).
+    /// Re-sent attempts beyond the first, across all ops.
     pub retries: u64,
     /// Connections re-established after a timeout, reset, or refused
-    /// connect (retry mode).
+    /// connect.
     pub reconnects: u64,
-    /// Gets re-issued on a fresh connection after the hedge deadline
-    /// (retry mode).
+    /// Gets re-issued on a fresh connection after the hedge deadline.
     pub hedged_gets: u64,
     /// Total *simulated* backoff the retry policy charged, ms. Counted
     /// deterministically instead of slept, so it never shows up in
@@ -187,7 +180,7 @@ pub fn sample_profile(grid: u64, points: usize) -> Profile {
 }
 
 /// Splitmix-style step used for the per-client schedule stream.
-fn next_rand(state: &mut u64) -> u64 {
+pub fn next_rand(state: &mut u64) -> u64 {
     *state = state
         .wrapping_mul(6364136223846793005)
         .wrapping_add(1442695040888963407);
@@ -361,12 +354,6 @@ impl FaultClient {
         }
     }
 
-    /// The load-gen client for slot `client` (camera from
-    /// [`client_camera`]).
-    pub fn for_client(addr: ServeAddr, client: usize, policy: RetryPolicy) -> FaultClient {
-        FaultClient::new(addr, client_camera(client), policy)
-    }
-
     /// Connects (or reuses the live connection), sleeping briefly when
     /// the daemon refuses — the one place real time is spent, because a
     /// restarting supervisor generation genuinely is not there yet.
@@ -377,7 +364,10 @@ impl FaultClient {
             for attempt in 0..budget {
                 match self.addr.connect() {
                     Ok(conn) => {
-                        if attempt > 0 || self.stats.attempts > 0 {
+                        // `attempts` already counts the attempt this
+                        // connection is for: more than one means an
+                        // earlier attempt's connection was dropped.
+                        if attempt > 0 || self.stats.attempts > 1 {
                             self.stats.reconnects += 1;
                         }
                         self.conn = Some(conn);
@@ -575,18 +565,7 @@ struct ClientOutcome {
     failure: Option<String>,
 }
 
-/// Runs one client's schedule to completion, through the retry layer
-/// when the config asks for it.
-fn run_client(config: &LoadConfig, client: usize, requests: usize) -> ClientOutcome {
-    match config.retry {
-        Some(policy) => run_client_retry(config, client, requests, policy),
-        None => run_client_plain(config, client, requests),
-    }
-}
-
-/// One step of the shared schedule: which op, against which key. Both
-/// client modes consume the rng identically so a retry run answers the
-/// same logical schedule as a plain run.
+/// One step of the schedule: which op, against which key.
 fn schedule_step(config: &LoadConfig, rng: &mut u64, camera: u64) -> (StoreKey, LoadMix) {
     let grid = 1 + (next_rand(rng) % config.grids.max(1) as u64);
     let key = StoreKey::new(camera, grid);
@@ -601,15 +580,11 @@ fn schedule_step(config: &LoadConfig, rng: &mut u64, camera: u64) -> (StoreKey, 
     (key, op)
 }
 
-/// Retry-mode client: same schedule, every op through [`FaultClient`].
-/// An op that still fails after the retry budget is a run failure — under
-/// the seeded fault plans the budget is sized to always win.
-fn run_client_retry(
-    config: &LoadConfig,
-    client: usize,
-    requests: usize,
-    policy: RetryPolicy,
-) -> ClientOutcome {
+/// Runs one client's schedule to completion, every op through
+/// [`FaultClient`]. An op that still fails after the retry budget is a
+/// run failure — under the seeded fault plans the budget is sized to
+/// always win.
+fn run_client(config: &LoadConfig, client: usize, requests: usize) -> ClientOutcome {
     let mut report = LoadReport::default();
     let mut latencies_us = Vec::with_capacity(requests);
     let camera = client_camera(client);
@@ -617,7 +592,7 @@ fn run_client_retry(
         .seed
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(client as u64);
-    let mut fc = FaultClient::new(config.addr.clone(), camera, policy);
+    let mut fc = FaultClient::new(config.addr.clone(), camera, RetryPolicy::default());
 
     let mut failure = None;
     for step in 0..requests {
@@ -655,77 +630,6 @@ fn run_client_retry(
         latencies_us,
         failure,
     }
-}
-
-/// Plain fail-fast client (the pre-chaos path; still what the latency
-/// benches measure, since retries would fold fault noise into the
-/// percentiles).
-fn run_client_plain(config: &LoadConfig, client: usize, requests: usize) -> ClientOutcome {
-    let mut report = LoadReport::default();
-    let mut latencies_us = Vec::with_capacity(requests);
-    let camera = client_camera(client);
-    let mut rng = config
-        .seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(client as u64);
-
-    let mut conn = match config.addr.connect() {
-        Ok(c) => c,
-        Err(e) => {
-            return ClientOutcome {
-                report,
-                latencies_us,
-                failure: Some(format!("client {client}: connect: {e}")),
-            }
-        }
-    };
-    for step in 0..requests {
-        let (key, op) = schedule_step(config, &mut rng, camera);
-        let request = match op {
-            LoadMix::Puts | LoadMix::Mixed => Request::PutProfile {
-                key,
-                profile: sample_profile(key.grid, config.points),
-                expected_seq: None,
-            },
-            LoadMix::Gets => Request::GetProfile { key },
-            LoadMix::Queries => Request::QueryTradeoff {
-                key,
-                max_err: 0.2,
-                max_fraction: Some(0.8),
-                max_bytes: None,
-                max_energy_j: None,
-            },
-        };
-        let t0 = Instant::now();
-        let response = conn.request(&request);
-        latencies_us.push(t0.elapsed().as_secs_f64() * 1e6);
-        report.requests += 1;
-        let problem = match response {
-            Ok(Response::Ok { .. }) => {
-                report.puts += 1;
-                continue;
-            }
-            Ok(Response::Profile { .. }) => {
-                report.gets += 1;
-                continue;
-            }
-            Ok(Response::Tradeoff { .. }) => {
-                report.queries += 1;
-                continue;
-            }
-            Ok(Response::Error { code: ErrorCode::NotFound, .. }) => {
-                report.not_found += 1;
-                continue;
-            }
-            Ok(Response::Error { code, message }) => format!("{} error: {message}", code.as_str()),
-            Ok(other) => format!("unexpected response {other:?}"),
-            Err(e) => e,
-        };
-        report.errors += 1;
-        let failure = Some(format!("client {client} step {step}: {problem}"));
-        return ClientOutcome { report, latencies_us, failure };
-    }
-    ClientOutcome { report, latencies_us, failure: None }
 }
 
 /// Nearest-rank percentile over a sorted slice.
@@ -864,7 +768,7 @@ mod tests {
         .unwrap();
 
         let policy = RetryPolicy::default();
-        let mut fc = FaultClient::for_client(server.addr().clone(), 0, policy);
+        let mut fc = FaultClient::new(server.addr().clone(), client_camera(0), policy);
         let camera = client_camera(0);
         // Three puts per key: per-key seqs must come back exactly 1, 2, 3
         // even when acks are dropped and the put is re-sent.
@@ -935,5 +839,58 @@ mod tests {
         assert!(report.graceful);
         assert_eq!(report.stats.quarantined_records, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Armed zero-rate disk and net plans are byte-invisible: the same
+    /// rid-stamped mixed load against a plan-free daemon and a daemon
+    /// with both plans armed at rate 0 compacts to identical store bytes,
+    /// and no fault counter moves.
+    #[test]
+    fn zero_rate_plans_leave_store_bytes_identical() {
+        use smokescreen_rt::fault::{DiskFaultPlan, NetFaultPlan};
+        use smokescreen_serve::{Server, ServerConfig};
+        let store_bytes = |tag: &str, disk: Option<DiskFaultPlan>, net: Option<NetFaultPlan>| {
+            let tmp = std::env::temp_dir();
+            let dir = tmp.join(format!("smk-inert-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let sock = tmp.join(format!("smk-inert-{tag}-{}.sock", std::process::id()));
+            let _ = std::fs::remove_file(&sock);
+            let server = Server::new(
+                ServerConfig::new(ServeAddr::Unix(sock), &dir)
+                    .with_threads(4)
+                    .with_disk_faults(disk)
+                    .with_net_faults(net),
+            )
+            .spawn()
+            .unwrap();
+            let mut config = LoadConfig::new(server.addr().clone(), 300);
+            config.seed = 46;
+            let load = run_load(&config).unwrap();
+            assert_eq!((load.requests, load.errors), (300, 0), "{tag}");
+            // Only a retry (a missed read deadline) drops a connection
+            // here, so each client's first connect is not a reconnect.
+            assert_eq!(load.reconnects, load.retries, "{tag}");
+            let report = server.shutdown().unwrap();
+            assert!(report.graceful, "{tag}");
+            let stats = &report.stats;
+            assert_eq!(
+                (stats.net_faults, stats.disk_write_faults, stats.disk_read_faults),
+                (0, 0, 0),
+                "{tag}"
+            );
+            let bytes =
+                ["profiles.data", "profiles.idx"].map(|f| std::fs::read(dir.join(f)).unwrap());
+            let _ = std::fs::remove_dir_all(&dir);
+            bytes
+        };
+        let off = store_bytes("off", None, None);
+        let zero = store_bytes(
+            "zero",
+            Some(DiskFaultPlan::new(53596, 0.0)),
+            Some(NetFaultPlan::new(1255, 0.0)),
+        );
+        assert!(!off[0].is_empty() && !off[1].is_empty(), "the load wrote records");
+        assert!(off == zero, "zero-rate plans changed the store bytes");
     }
 }

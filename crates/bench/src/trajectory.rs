@@ -2,8 +2,8 @@
 //! cross-commit regression comparison.
 //!
 //! This is the workspace's one perf harness. It runs the parallel-speedup,
-//! estimator-kernel, sweep, end-to-end generation and serving benches
-//! under the deterministic [`bench_repeated`] timer, persists per-bench
+//! estimator-kernel, sweep and end-to-end generation benches under the
+//! deterministic [`bench_repeated`] timer, persists per-bench
 //! median/p95 wall times and throughput into a versioned JSON file via
 //! `rt::json`, checks full runs against the acceptance [`FLOORS`], and
 //! compares any two trajectory files under a configurable regression
@@ -34,11 +34,9 @@ use smokescreen_models::{Detections, Detector, OutputCache, SimYoloV4};
 use smokescreen_rt::bench::{bench_repeated, RepeatedMeasurement};
 use smokescreen_rt::json::{FromJson, Json, JsonError, ToJson};
 use smokescreen_rt::json_codec;
-use smokescreen_serve::{ServeAddr, Server, ServerConfig};
 use smokescreen_video::synth::DatasetPreset;
 use smokescreen_video::{Frame, ObjectClass, Resolution, VideoCorpus};
 
-use crate::serve_client::{run_load, LoadConfig, LoadMix};
 use crate::table::{fmt, Table};
 
 /// Schema tag written into every trajectory file; bump on shape changes.
@@ -490,32 +488,46 @@ pub fn compare(prev: &Trajectory, cur: &Trajectory, threshold: f64) -> Compariso
     Comparison { table, regressions }
 }
 
-/// Checks a run against [`FLOORS`] and the zero-alloc cell path; returns
-/// one message per failed floor. Smoke runs are exempt: their corpora are
-/// too small for stable ratios.
-pub fn check_floors(t: &Trajectory) -> Result<(), Vec<String>> {
-    if t.smoke {
-        return Ok(());
-    }
-    let mut failures: Vec<String> = FLOORS
+/// Every acceptance margin of a run: one `(line, met)` per [`FLOORS`]
+/// entry (the measured ratio against its minimum), then the zero-alloc
+/// cell path (`cell_path_steady_ingest`'s steady-state allocations).
+/// Each line starts with the name it measures.
+pub fn floor_margins(t: &Trajectory) -> Vec<(String, bool)> {
+    let mut margins: Vec<(String, bool)> = FLOORS
         .iter()
-        .filter_map(|&(name, floor)| {
+        .map(|&(name, floor)| {
             let v = t
                 .derived
                 .get(name)
                 .expect("every floor names a derived ratio");
-            (v < floor).then(|| format!("{name} = {v:.2}× < {floor:.1}×"))
+            (format!("{name} = {v:.2}× (minimum {floor:.1}×)"), v >= floor)
         })
         .collect();
-    match t.bench("cell_path_steady_ingest") {
-        Some(cell) if cell.alloc_count != 0 => failures.push(format!(
-            "cell_path_steady_ingest made {} steady-state allocations ({} B); \
-             the cell path must be zero-alloc",
-            cell.alloc_count, cell.alloc_bytes
-        )),
-        Some(_) => {}
-        None => failures.push("cell_path_steady_ingest bench missing from run".into()),
+    margins.push(match t.bench("cell_path_steady_ingest") {
+        Some(cell) => (
+            format!(
+                "cell_path_steady_ingest steady-state allocations = {} ({} B; \
+                 the cell path must be zero-alloc)",
+                cell.alloc_count, cell.alloc_bytes
+            ),
+            cell.alloc_count == 0,
+        ),
+        None => ("cell_path_steady_ingest bench missing from run".into(), false),
+    });
+    margins
+}
+
+/// Checks a run against [`floor_margins`]; returns one message per
+/// failed margin. Smoke runs are exempt: their corpora are too small for
+/// stable ratios.
+pub fn check_floors(t: &Trajectory) -> Result<(), Vec<String>> {
+    if t.smoke {
+        return Ok(());
     }
+    let failures: Vec<String> = floor_margins(t)
+        .into_iter()
+        .filter_map(|(line, met)| (!met).then_some(line))
+        .collect();
     if failures.is_empty() {
         Ok(())
     } else {
@@ -980,51 +992,6 @@ pub fn run(config: &TrajectoryConfig, pr: u64, rev: String) -> Trajectory {
             sweep_runs,
         ));
     }
-
-    // --- 7. Serving throughput: the daemon under framed load. ---
-    // A live server on a Unix socket with `config.threads` workers; every
-    // repetition replays the same seeded schedule through
-    // `serve_client::run_load`, so the medians measure the full framed
-    // protocol + admission queue + columnar store path. Puts run first
-    // (seeding every key), so the get/query benches never see not_found.
-    let serve_requests = if config.smoke { 200 } else { 1_000 };
-    let serve_dir = std::env::temp_dir().join(format!("smk-traj-serve-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&serve_dir);
-    fs::create_dir_all(&serve_dir).expect("serve bench store dir");
-    let serve_sock =
-        std::env::temp_dir().join(format!("smk-traj-serve-{}.sock", std::process::id()));
-    let server = Server::new(
-        ServerConfig::new(ServeAddr::Unix(serve_sock), &serve_dir).with_threads(config.threads),
-    )
-    .spawn()
-    .expect("serve bench daemon");
-    let mut load = LoadConfig::new(server.addr().clone(), serve_requests);
-    load.seed = config.seed;
-    for (name, mix) in [
-        ("serve_put_throughput", LoadMix::Puts),
-        ("serve_get_throughput", LoadMix::Gets),
-        ("serve_query_throughput", LoadMix::Queries),
-    ] {
-        load.mix = mix;
-        let m = bench_repeated(name, config.reps, || {
-            let report = run_load(&load).expect("serve load succeeds");
-            assert_eq!(report.errors, 0, "daemon answered with unexpected errors");
-            report.requests
-        });
-        benches.push(BenchResult::from_measurement(
-            name,
-            &m,
-            serve_requests,
-            "requests",
-            0,
-        ));
-    }
-    let serve_report = server.shutdown().expect("serve bench shutdown");
-    assert_eq!(
-        serve_report.stats.quarantined_records, 0,
-        "serve bench store must stay clean"
-    );
-    let _ = fs::remove_dir_all(&serve_dir);
 
     Trajectory {
         schema: SCHEMA.to_string(),

@@ -69,8 +69,7 @@ impl Bench {
     /// Honors the `SMOKESCREEN_PERTURB_*` content-fault knobs: with a
     /// plan configured in the environment, every experiment fixture is
     /// built over the perturbed corpus — which is what makes the env
-    /// knobs real end to end, and what the zero-rate golden re-diff in
-    /// `ci.sh` proves inert.
+    /// knobs real end to end. An env rate of 0 builds no plan.
     pub fn new(dataset: DatasetPreset, model: ModelKind, cfg: &RunConfig) -> Self {
         let mut corpus = dataset.generate(cfg.seed);
         if let Some(cap) = cfg.corpus_cap() {

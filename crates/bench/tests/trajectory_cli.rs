@@ -6,7 +6,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use smokescreen_bench::trajectory::{schema_of, Trajectory, SCHEMA};
+use smokescreen_bench::trajectory::{schema_of, Trajectory, FLOORS, SCHEMA};
 use smokescreen_rt::json::{Json, ToJson};
 
 fn bin() -> &'static str {
@@ -21,7 +21,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// One shared smoke run for the whole suite (the run itself is the slow
-/// part); everything downstream works on the emitted file.
+/// part); everything downstream works on the emitted file. Every floor's
+/// margin is printed, marked as not gated.
 fn smoke_run(dir: &Path) -> PathBuf {
     let out = Command::new(bin())
         .args([
@@ -42,6 +43,15 @@ fn smoke_run(dir: &Path) -> PathBuf {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let names = FLOORS.iter().map(|&(name, _)| name).chain(["cell_path_steady_ingest"]);
+    for name in names {
+        let prefix = format!("floor {name} ");
+        assert!(
+            stdout.lines().any(|l| l.starts_with(&prefix) && l.ends_with("not gated")),
+            "no margin line for {name}:\n{stdout}"
+        );
+    }
     dir.join("BENCH_6.json")
 }
 

@@ -55,15 +55,6 @@ pub enum Aggregate {
 }
 
 impl Aggregate {
-    /// Whether the accuracy metric is rank-based (MAX/MIN) rather than
-    /// value-based.
-    pub fn is_rank_metric(self) -> bool {
-        matches!(
-            self,
-            Aggregate::Max { .. } | Aggregate::Min { .. } | Aggregate::Quantile { .. }
-        )
-    }
-
     /// The quantile position, when rank-based.
     pub fn quantile_r(self) -> Option<f64> {
         match self {

@@ -29,9 +29,8 @@ pub struct Smokescreen<'a> {
 }
 
 impl<'a> Smokescreen<'a> {
-    /// Builds the system. The restriction prior is computed from ground
-    /// truth here; use [`Smokescreen::with_restrictions`] to supply a
-    /// detector-derived prior as the paper's prototype does.
+    /// Builds the system. The restriction prior (persons and faces) is
+    /// computed from ground truth.
     pub fn new(
         corpus: &'a VideoCorpus,
         detector: &'a dyn Detector,
@@ -54,13 +53,6 @@ impl<'a> Smokescreen<'a> {
         }
     }
 
-    /// Replaces the restriction prior (e.g. one built with
-    /// `RestrictionIndex::from_detectors`).
-    pub fn with_restrictions(mut self, restrictions: RestrictionIndex) -> Self {
-        self.restrictions = restrictions;
-        self
-    }
-
     /// Replaces the generator configuration.
     pub fn with_config(mut self, config: GeneratorConfig) -> Self {
         self.config = config;
@@ -72,42 +64,6 @@ impl<'a> Smokescreen<'a> {
     /// byte-identical profile; only wall-clock changes.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
-        self
-    }
-
-    /// Arms a seeded fault plan for chaos runs: model calls fault per the
-    /// plan, transient failures retry with deterministic backoff, and
-    /// lossy cells widen or quarantine per
-    /// [`GeneratorConfig::max_cell_loss`]. `None` restores the fault-free
-    /// production configuration.
-    pub fn with_fault_plan(
-        mut self,
-        plan: Option<smokescreen_rt::fault::FaultPlan>,
-    ) -> Self {
-        self.config.faults = plan;
-        self
-    }
-
-    /// Points profile generation at a checkpoint directory: each completed
-    /// cell is durably journaled, and a rerun of the same workload resumes
-    /// from the journal, recomputing only missing cells — bit-identical to
-    /// an uninterrupted run. `None` (the default) disables checkpointing
-    /// entirely.
-    pub fn with_checkpoint_dir(mut self, dir: Option<std::path::PathBuf>) -> Self {
-        self.config.checkpoint = dir;
-        self
-    }
-
-    /// Arms a seeded crash plan for chaos runs: generation dies with
-    /// [`CoreError::CrashInjected`](crate::CoreError::CrashInjected) at
-    /// deterministic cells' journal commits. Pair with
-    /// [`with_checkpoint_dir`](Self::with_checkpoint_dir) so each resume
-    /// makes durable progress.
-    pub fn with_crash_plan(
-        mut self,
-        plan: Option<smokescreen_rt::fault::CrashPlan>,
-    ) -> Self {
-        self.config.crash = plan;
         self
     }
 

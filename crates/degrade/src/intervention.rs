@@ -78,12 +78,6 @@ impl InterventionSet {
         self
     }
 
-    /// Builder: set the sample fraction.
-    pub fn with_fraction(mut self, fraction: f64) -> Self {
-        self.sample_fraction = fraction;
-        self
-    }
-
     /// Builder: set the classes to blur in place.
     pub fn with_blur(mut self, classes: &[ObjectClass]) -> Self {
         self.blurred = classes.to_vec();

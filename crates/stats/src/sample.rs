@@ -79,12 +79,6 @@ impl PrefixSampler {
     pub fn prefix(&self, n: usize) -> &[usize] {
         &self.permutation[..n.min(self.permutation.len())]
     }
-
-    /// Prefix sized by fraction (at least one frame).
-    pub fn prefix_fraction(&self, fraction: f64) -> Result<&[usize]> {
-        let n = fraction_to_size(self.population().max(1), fraction)?;
-        Ok(self.prefix(n))
-    }
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 
 use smokescreen_bench::serve_client::{
-    client_camera, sample_profile, FaultClient, RetryPolicy, RetryStats,
+    client_camera, next_rand, sample_profile, FaultClient, RetryPolicy, RetryStats,
 };
 use smokescreen_core::Profile;
 use smokescreen_rt::fault::{DiskFaultPlan, NetFaultPlan};
@@ -47,13 +47,6 @@ const DISK_SEED: u64 = 0xD15C;
 const DISK_RATE: f64 = 0.12;
 const NET_SEED: u64 = 0x4E7;
 const NET_RATE: f64 = 0.15;
-
-fn lcg(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 16
-}
 
 fn chaos_policy() -> RetryPolicy {
     RetryPolicy {
@@ -94,9 +87,9 @@ fn run_client(
     let mut rng = 0x5eed_0000 + client as u64 * 131 + phase * 7919;
     let mut fc = FaultClient::new(addr.clone(), camera, chaos_policy());
     for step in 0..requests {
-        let grid = 1 + lcg(&mut rng) % 6;
+        let grid = 1 + next_rand(&mut rng) % 6;
         let key = StoreKey::new(camera, grid);
-        let line = match lcg(&mut rng) % 10 {
+        let line = match next_rand(&mut rng) % 10 {
             0..=5 => {
                 let profile = sample_profile(grid + phase * 100, 3 + (step % 5));
                 let seq = fc.put(key, &profile).expect("put lands within the budget");

@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use smokescreen_bench::serve_client::{client_camera, sample_profile};
+use smokescreen_bench::serve_client::{client_camera, next_rand, sample_profile};
 use smokescreen_core::Profile;
 use smokescreen_serve::{
     ProfileStore, Request, Response, ServeAddr, Server, ServerConfig, StoreKey,
@@ -31,13 +31,6 @@ const CLIENTS: usize = 4;
 const PHASE1_REQUESTS: usize = 80;
 const PHASE2_REQUESTS: usize = 40;
 const IDENTITY: &str = "smokescreen-serve";
-
-fn lcg(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 16
-}
 
 /// Everything a client saw, plus the acked writes it is owed.
 #[derive(Default)]
@@ -66,9 +59,9 @@ fn run_client(
     let mut rng = 0x5eed_0000 + client as u64 * 131 + phase * 7919;
     let mut conn = addr.connect().expect("client connects");
     for step in 0..requests {
-        let grid = 1 + lcg(&mut rng) % 6;
+        let grid = 1 + next_rand(&mut rng) % 6;
         let key = StoreKey::new(camera, grid);
-        let line = match lcg(&mut rng) % 10 {
+        let line = match next_rand(&mut rng) % 10 {
             // Put-heavy mix: puts are the only state transitions, and
             // phase 1 must leave enough acked writes for the crash audit.
             0..=5 => {
