@@ -73,6 +73,16 @@ echo "=== output table: served counts equal direct detection at widths 1, 2, 8 a
 SMOKESCREEN_PT_CASES=2000 cargo test -q --offline -p smokescreen-models --lib \
   cache::tests::count_table_matches_direct_detection
 
+echo "=== chunked fetch: ladder ranges equal per-frame lookups at 2000 cases ==="
+# DegradedView's batched fetch loads each chunk of sampled frames before
+# looking it up. The property splits random views into ranges that put
+# every chunk edge under test, with no fault plan and under a mixed one,
+# and checks values, lost frames and accounting against a per-frame
+# try_count walk. It ran at its default case count above; here it runs
+# again at 2000.
+SMOKESCREEN_PT_CASES=2000 cargo test -q --offline -p smokescreen-degrade --lib \
+  pipeline::tests::chunked_fetch_matches_per_frame_lookups
+
 echo "=== pool: order, panics, balance and scope concurrency at 2000 cases ==="
 # rt::pool runs each call on the caller plus scoped helper threads. Its
 # properties check that parallel maps equal the sequential map at widths

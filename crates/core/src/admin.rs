@@ -56,17 +56,6 @@ impl AdminSession {
         self.profile.curve_over_fraction(resolution, restricted)
     }
 
-    /// A refined resolution-curve.
-    pub fn resolution_slice(
-        &mut self,
-        fraction: f64,
-        restricted: &[ObjectClass],
-    ) -> Vec<(u32, f64)> {
-        self.views_requested
-            .push(format!("resolution-slice f={fraction} c={restricted:?}"));
-        self.profile.curve_over_resolution(fraction, restricted)
-    }
-
     /// Mechanically selects the most degraded feasible candidate.
     pub fn recommend(&self, preferences: &Preferences) -> Result<InterventionSet> {
         Ok(choose_tradeoff(&self.profile, preferences, self.native)?

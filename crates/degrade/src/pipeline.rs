@@ -10,6 +10,11 @@ use smokescreen_video::{Frame, ObjectClass, Resolution, VideoCorpus};
 use crate::intervention::InterventionSet;
 use crate::removal::RestrictionIndex;
 
+/// Sampled frames the batched fetch loads ahead of their lookups (see
+/// [`DegradedView::try_outputs_cached_range_into`]); 16 and 64 measured
+/// the same.
+pub const FETCH_CHUNK: usize = 32;
+
 /// Outputs fetched over a sample range under fault injection.
 ///
 /// Frames whose model calls failed permanently (timeout / retry budget
@@ -285,6 +290,13 @@ impl<'c> DegradedView<'c> {
     /// no heap allocation — the zero-alloc contract the fraction-ladder
     /// hot loop in `smokescreen-core` (and the counting-allocator bench
     /// in `rt::bench`) relies on.
+    ///
+    /// The range is walked in chunks of [`FETCH_CHUNK`] sampled frames.
+    /// Before a chunk's lookups, two passes of plain loads read each
+    /// frame's record and then its first object; the loads are
+    /// independent, so their cache misses overlap instead of each one
+    /// stalling between model calls. The whole range is still one
+    /// `try_count_each` batch, so the table's read lock is taken once.
     pub fn try_outputs_cached_range_into(
         &self,
         cache: &OutputCache<'_>,
@@ -306,9 +318,17 @@ impl<'c> DegradedView<'c> {
         // reallocations here would dominate small Δn fetches. A no-op
         // once the reused scratch has warmed past the rung size.
         out.values.reserve(end - start);
+        let (corpus, eligible) = (self.corpus, &self.order.eligible);
+        let frame_of = move |&pos: &usize| corpus.frame(eligible[pos]);
         let frames = self.order.sampler.prefix(self.n)[start..end]
-            .iter()
-            .filter_map(|&pos| self.corpus.frame(self.order.eligible[pos]));
+            .chunks(FETCH_CHUNK)
+            .flat_map(|chunk| {
+                let chunk_frames = chunk.iter().filter_map(frame_of);
+                let ids = chunk_frames.clone().fold(0, |acc, f| acc ^ f.id);
+                let first = |f: &Frame| f.objects.first().map_or(0, |o| o.id);
+                std::hint::black_box(chunk_frames.clone().fold(ids, |acc, f| acc ^ first(f)));
+                chunk_frames
+            });
         cache.try_count_each(frames, res, class, |count| match count {
             Ok(v) => out.values.push(v),
             Err(_) => out.lost += 1,
@@ -320,9 +340,13 @@ impl<'c> DegradedView<'c> {
 mod tests {
     use super::*;
     use crate::intervention::InterventionSet;
-    use smokescreen_models::{Oracle, SimYoloV4};
+    use smokescreen_models::{Oracle, RetryPolicy, SimYoloV4};
+    use smokescreen_rt::fault::{FaultMix, FaultPlan};
+    use smokescreen_rt::proptest::prelude::*;
+    use smokescreen_rt::rng::StdRng;
     use smokescreen_video::synth::DatasetPreset;
     use std::collections::HashSet;
+    use std::sync::OnceLock;
 
     fn setup() -> (VideoCorpus, RestrictionIndex) {
         let corpus = DatasetPreset::NightStreet.generate(1).slice(0, 4_000);
@@ -478,9 +502,6 @@ mod tests {
 
     #[test]
     fn try_outputs_drop_and_count_failed_calls() {
-        use smokescreen_models::RetryPolicy;
-        use smokescreen_rt::fault::{FaultMix, FaultPlan};
-
         let (corpus, idx) = setup();
         let yolo = SimYoloV4::new(4);
         let view = DegradedView::new(&corpus, InterventionSet::sampling(0.2), &idx, 11).unwrap();
@@ -550,6 +571,124 @@ mod tests {
         let mut gt = corpus.ground_truth_counts(ObjectClass::Car);
         gt.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(outs, gt);
+    }
+
+    /// Frames in the chunk property's corpus.
+    const PROP_FRAMES: usize = 600;
+    /// Resolutions the chunk property draws from; `None` is native.
+    const PROP_RES: [Option<u32>; 4] = [None, Some(320), Some(416), Some(608)];
+    /// Classes whose removal subsets the chunk property draws.
+    const PROP_RESTRICTABLE: [ObjectClass; 2] = [ObjectClass::Person, ObjectClass::Face];
+    /// Range lengths every split contains: the chunk edges around
+    /// `FETCH_CHUNK`, an empty range and a single frame.
+    const EDGE_LENGTHS: [usize; 6] = [
+        0,
+        1,
+        FETCH_CHUNK - 1,
+        FETCH_CHUNK,
+        FETCH_CHUNK + 1,
+        2 * FETCH_CHUNK + 1,
+    ];
+
+    fn prop_fixture() -> &'static (VideoCorpus, RestrictionIndex) {
+        static FIXTURE: OnceLock<(VideoCorpus, RestrictionIndex)> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let corpus = DatasetPreset::NightStreet
+                .generate(29)
+                .slice(0, PROP_FRAMES);
+            let idx = RestrictionIndex::from_ground_truth(&corpus, &PROP_RESTRICTABLE);
+            (corpus, idx)
+        })
+    }
+
+    /// Splits `0..len` into consecutive ranges: the `EDGE_LENGTHS` and the
+    /// pieces of the rest cut at `cuts`, in an order shuffled by `mix`.
+    fn split(len: usize, cuts: &[u32], mix: u64) -> Vec<std::ops::Range<usize>> {
+        let rest = len - EDGE_LENGTHS.iter().sum::<usize>();
+        let mut points: Vec<usize> = cuts.iter().map(|&c| c as usize % (rest + 1)).collect();
+        points.extend([0, rest]);
+        points.sort_unstable();
+        let mut lengths: Vec<usize> = points.windows(2).map(|w| w[1] - w[0]).collect();
+        lengths.extend(EDGE_LENGTHS);
+        let mut rng = StdRng::seed_from_u64(mix);
+        for i in (1..lengths.len()).rev() {
+            lengths.swap(i, rng.gen_range(0..=i));
+        }
+        let mut start = 0;
+        lengths
+            .into_iter()
+            .map(|n| {
+                start += n;
+                start - n..start
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn chunked_fetch_matches_per_frame_lookups(
+            fraction_pct in 40u32..=100,
+            seed in any::<u64>(),
+            subset in 0usize..4,
+            res in 0..PROP_RES.len(),
+            cuts in collection::vec(any::<u32>(), 0..12),
+            mix in any::<u64>(),
+            plan_seed in any::<u64>(),
+        ) {
+            // A random view split into consecutive ranges, every chunk edge
+            // among them, fetched through one reused scratch as the ladder
+            // does. Values in order, `lost` and the accounting must equal a
+            // per-frame `try_count` walk on a fresh cache with the same plan,
+            // with no plan and under a mixed timeout/transient/poison plan.
+            let (corpus, idx) = prop_fixture();
+            let restricted: Vec<ObjectClass> = PROP_RESTRICTABLE
+                .into_iter()
+                .enumerate()
+                .filter(|&(bit, _)| subset >> bit & 1 == 1)
+                .map(|(_, class)| class)
+                .collect();
+            let mut set = InterventionSet::sampling(f64::from(fraction_pct) / 100.0)
+                .with_restricted(&restricted);
+            set.resolution = PROP_RES[res].map(Resolution::square);
+            let view = DegradedView::new(corpus, set, idx, seed).unwrap();
+            let ranges = split(view.len(), &cuts, mix);
+            let yolo = SimYoloV4::new(29);
+            let mixed = FaultMix { timeout: 0.4, transient: 0.3, slow: 0.0, poison: 0.3 };
+            for plan in [None, Some(FaultPlan::with_stream(plan_seed, 0.2, mixed))] {
+                let cache = || match plan {
+                    Some(plan) => {
+                        OutputCache::with_faults(&yolo, corpus.len(), plan, RetryPolicy::default())
+                    }
+                    None => OutputCache::new(&yolo, corpus.len()),
+                };
+                let (chunked, reference) = (cache(), cache());
+                let (mut fetched, mut scratch) = (RangeOutputs::default(), RangeOutputs::default());
+                for range in &ranges {
+                    view.try_outputs_cached_range_into(
+                        &chunked,
+                        ObjectClass::Car,
+                        range.clone(),
+                        &mut scratch,
+                    );
+                    fetched.values.extend(&scratch.values);
+                    fetched.lost += scratch.lost;
+                }
+                let mut expected = RangeOutputs::default();
+                for i in 0..view.len() {
+                    let frame = view.frame(i).unwrap();
+                    match reference.try_count(&frame, view.resolution(), ObjectClass::Car) {
+                        Ok(v) => expected.values.push(v),
+                        Err(_) => expected.lost += 1,
+                    }
+                }
+                prop_assert_eq!(&fetched, &expected);
+                let totals = |c: &OutputCache| {
+                    let inv = c.invocations();
+                    (inv.model_runs, inv.cache_hits, inv.failed_calls)
+                };
+                prop_assert_eq!(totals(&chunked), totals(&reference));
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! per run; full `trajectory run`s gate on it being zero.
 
 use smokescreen::core::{Aggregate, AggregateKernel};
+use smokescreen::degrade::pipeline::FETCH_CHUNK;
 use smokescreen::degrade::{DegradedView, InterventionSet, RangeOutputs, RestrictionIndex};
 use smokescreen::models::{OutputCache, SimYoloV4};
 use smokescreen::rt::bench::alloc;
@@ -41,6 +42,14 @@ fn rung_bounds(len: usize) -> Vec<usize> {
     (0..=20).map(|i| i * len / 20).collect()
 }
 
+/// Uneven rung boundaries that cross the fetch's load chunks: one frame,
+/// an empty rung, three full chunks plus half of a fourth, then the rest.
+fn chunk_crossing_bounds(len: usize) -> Vec<usize> {
+    let spanning = 1 + 3 * FETCH_CHUNK + FETCH_CHUNK / 2;
+    assert!(spanning < len, "the fixture must hold the spanning rung");
+    vec![0, 1, 1, spanning, len]
+}
+
 #[test]
 fn warm_cell_path_performs_no_heap_allocation() {
     let fx = fixture();
@@ -51,8 +60,15 @@ fn warm_cell_path_performs_no_heap_allocation() {
         3,
     )
     .unwrap();
+    for bounds in [rung_bounds(view.len()), chunk_crossing_bounds(view.len())] {
+        assert_warm_ladder_allocates_nothing(&fx, &view, &bounds);
+    }
+}
+
+/// Replays the ladder over `bounds` twice to warm the cache and the
+/// scratch, then asserts that a third pass allocates nothing.
+fn assert_warm_ladder_allocates_nothing(fx: &Fixture, view: &DegradedView<'_>, bounds: &[usize]) {
     let cache = OutputCache::new(&fx.yolo, fx.corpus.len());
-    let bounds = rung_bounds(view.len());
     let mut scratch = RangeOutputs::default();
 
     // First warm pass: runs the model once per frame and fills the
@@ -91,7 +107,7 @@ fn warm_cell_path_performs_no_heap_allocation() {
     assert_eq!(
         stats,
         alloc::AllocStats::default(),
-        "warm AVG cell path allocated in steady state"
+        "warm AVG cell path allocated in steady state over rungs {bounds:?}"
     );
 }
 
