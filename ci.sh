@@ -73,6 +73,17 @@ echo "=== output table: served counts equal direct detection at widths 1, 2, 8 a
 SMOKESCREEN_PT_CASES=2000 cargo test -q --offline -p smokescreen-models --lib \
   cache::tests::count_table_matches_direct_detection
 
+echo "=== model call: SimBackbone::detect equals the full formulas at 2000 cases ==="
+# SimBackbone::detect takes ln(area50) from its curves, its false-positive
+# rate from a per-thread one-entry memo and the contrast factor from a
+# per-thread direct-mapped memo. The property draws a model, a corpus, a
+# run of frames (some glare-perturbed) and two supported resolutions, and
+# checks detect item for item against the formulas evaluated in full, at
+# pool widths 1 and 8; it also alternates memo keys that share a slot. It
+# ran at its default case count above; here it runs again at 2000.
+SMOKESCREEN_PT_CASES=2000 cargo test -q --offline -p smokescreen-models --lib \
+  backbone::tests::detect_matches_reference
+
 echo "=== chunked fetch: ladder ranges equal per-frame lookups at 2000 cases ==="
 # DegradedView's batched fetch loads each chunk of sampled frames before
 # looking it up. The property splits random views into ranges that put

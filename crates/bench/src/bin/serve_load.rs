@@ -74,8 +74,8 @@ fn run() -> Result<ExitCode, String> {
         report.throughput_per_s()
     );
     println!(
-        "serve_load: puts {} gets {} queries {} not_found {} errors {}",
-        report.puts, report.gets, report.queries, report.not_found, report.errors
+        "serve_load: puts {} gets {} queries {} not_found {}",
+        report.puts, report.gets, report.queries, report.not_found
     );
     println!(
         "serve_load: latency p50 {:.0} us p95 {:.0} us p99 {:.0} us max {:.0} us",

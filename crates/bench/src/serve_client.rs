@@ -110,8 +110,6 @@ pub struct LoadReport {
     pub queries: u64,
     /// `not_found` errors (expected for gets racing ahead of puts).
     pub not_found: u64,
-    /// Every other error response (unexpected under a healthy daemon).
-    pub errors: u64,
     /// Wall time of the whole run, ms.
     pub wall_ms: f64,
     /// Median request latency, µs (nearest-rank over all requests).
@@ -616,7 +614,6 @@ fn run_client(config: &LoadConfig, client: usize, requests: usize) -> ClientOutc
         latencies_us.push(t0.elapsed().as_secs_f64() * 1e6);
         report.requests += 1;
         if let Err(e) = outcome {
-            report.errors += 1;
             failure = Some(format!("client {client} step {step}: {e}"));
             break;
         }
@@ -668,7 +665,6 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadReport, String> {
         merged.gets += outcome.report.gets;
         merged.queries += outcome.report.queries;
         merged.not_found += outcome.report.not_found;
-        merged.errors += outcome.report.errors;
         merged.retries += outcome.report.retries;
         merged.reconnects += outcome.report.reconnects;
         merged.hedged_gets += outcome.report.hedged_gets;
@@ -822,7 +818,6 @@ mod tests {
         let seeded = run_load(&config).unwrap();
         assert_eq!(seeded.requests, 64);
         assert_eq!(seeded.puts, 64);
-        assert_eq!(seeded.errors, 0);
 
         config.mix = LoadMix::Gets;
         let gets = run_load(&config).unwrap();
@@ -832,7 +827,6 @@ mod tests {
 
         config.mix = LoadMix::Mixed;
         let mixed = run_load(&config).unwrap();
-        assert_eq!(mixed.errors, 0);
         assert!(mixed.throughput_per_s() > 0.0);
 
         let report = server.shutdown().unwrap();
@@ -867,7 +861,7 @@ mod tests {
             let mut config = LoadConfig::new(server.addr().clone(), 300);
             config.seed = 46;
             let load = run_load(&config).unwrap();
-            assert_eq!((load.requests, load.errors), (300, 0), "{tag}");
+            assert_eq!(load.requests, 300, "{tag}");
             // Only a retry (a missed read deadline) drops a connection
             // here, so each client's first connect is not a reconnect.
             assert_eq!(load.reconnects, load.retries, "{tag}");

@@ -5,96 +5,102 @@
 //! prior information (§5.1). The image-removal intervention then deletes
 //! every frame containing a restricted class.
 
-use std::collections::HashMap;
-
 use smokescreen_models::Detector;
 use smokescreen_video::{ObjectClass, VideoCorpus};
+
+// A frame's classes are one bit each in a `u8` mask.
+const _: () = assert!(ObjectClass::ALL.len() <= 8);
+
+/// The mask bit of one class.
+fn bit(class: ObjectClass) -> u8 {
+    1 << class.index()
+}
+
+/// The mask with the bit of every class in `classes` set.
+fn class_bits(classes: &[ObjectClass]) -> u8 {
+    classes.iter().fold(0, |bits, &c| bits | bit(c))
+}
 
 /// Per-frame sensitive-class membership.
 #[derive(Debug, Clone)]
 pub struct RestrictionIndex {
-    /// `membership[class][frame]` — true when the frame contains the class.
-    membership: HashMap<ObjectClass, Vec<bool>>,
-    frames: usize,
+    /// `masks[frame]` has bit [`ObjectClass::index`] set when the frame
+    /// contains that class. Bits of classes the index was not built for
+    /// stay clear.
+    masks: Vec<u8>,
 }
 
 impl RestrictionIndex {
     /// Builds the index from ground-truth annotations (exact membership).
     pub fn from_ground_truth(corpus: &VideoCorpus, classes: &[ObjectClass]) -> Self {
-        let mut membership = HashMap::new();
-        for &class in classes {
-            let v: Vec<bool> = corpus
-                .frames()
-                .iter()
-                .map(|f| f.contains_class(class))
-                .collect();
-            membership.insert(class, v);
-        }
-        RestrictionIndex {
-            membership,
-            frames: corpus.len(),
-        }
+        let masks = corpus
+            .frames()
+            .iter()
+            .map(|f| {
+                let present = classes.iter().filter(|&&c| f.contains_class(c));
+                present.fold(0, |bits, &c| bits | bit(c))
+            })
+            .collect();
+        RestrictionIndex { masks }
     }
 
     /// Builds the index by running detectors at native resolution, as the
     /// paper's prototype does. Each `(class, detector)` pair scans the
-    /// whole corpus once.
+    /// whole corpus once; a later pair for the same class replaces the
+    /// earlier one's memberships.
     pub fn from_detectors(
         corpus: &VideoCorpus,
         scanners: &[(ObjectClass, &dyn Detector)],
     ) -> Self {
-        let mut membership = HashMap::new();
+        let mut masks = vec![0u8; corpus.len()];
         for &(class, detector) in scanners {
             let res = corpus
                 .native_resolution
                 .min(detector.native_resolution());
-            let v: Vec<bool> = corpus
-                .frames()
-                .iter()
-                .map(|f| detector.detect(f, res).contains(class))
-                .collect();
-            membership.insert(class, v);
+            let class_bit = bit(class);
+            for (mask, f) in masks.iter_mut().zip(corpus.frames()) {
+                let hit = detector.detect(f, res).contains(class);
+                *mask = (*mask & !class_bit) | if hit { class_bit } else { 0 };
+            }
         }
-        RestrictionIndex {
-            membership,
-            frames: corpus.len(),
-        }
+        RestrictionIndex { masks }
     }
 
     /// Number of frames covered.
     pub fn frames(&self) -> usize {
-        self.frames
+        self.masks.len()
     }
 
     /// Whether a frame contains any of the restricted classes. Classes the
     /// index was not built for are treated as absent (callers should build
     /// the index over every class they may restrict).
     pub fn frame_restricted(&self, frame_idx: usize, restricted: &[ObjectClass]) -> bool {
-        restricted.iter().any(|c| {
-            self.membership
-                .get(c)
-                .and_then(|v| v.get(frame_idx))
-                .copied()
-                .unwrap_or(false)
-        })
+        self.masks
+            .get(frame_idx)
+            .is_some_and(|&mask| mask & class_bits(restricted) != 0)
     }
 
     /// Indices of frames that survive removal of the given classes.
     pub fn surviving_indices(&self, restricted: &[ObjectClass]) -> Vec<usize> {
-        (0..self.frames)
-            .filter(|&i| !self.frame_restricted(i, restricted))
+        let bits = class_bits(restricted);
+        (0..self.masks.len())
+            .filter(|&i| self.masks[i] & bits == 0)
             .collect()
     }
 
     /// Fraction of frames containing the class (the statistic §5.1
     /// reports, e.g. 65.86% `person` frames in UA-DETRAC).
     pub fn prevalence(&self, class: ObjectClass) -> f64 {
-        match self.membership.get(&class) {
-            Some(v) if !v.is_empty() => {
-                v.iter().filter(|&&b| b).count() as f64 / v.len() as f64
-            }
-            _ => 0.0,
+        if self.masks.is_empty() {
+            return 0.0;
         }
+        let class_bit = bit(class);
+        let frames = self
+            .masks
+            .iter()
+            .filter(|&&mask| mask & class_bit != 0)
+            .count();
+        frames as f64 / self.masks.len() as f64
     }
 }
 
@@ -155,5 +161,11 @@ mod tests {
         let idx = RestrictionIndex::from_ground_truth(&corpus, &[ObjectClass::Person]);
         // Face was never indexed: restricting on it removes nothing.
         assert_eq!(idx.surviving_indices(&[ObjectClass::Face]).len(), 100);
+        assert_eq!(idx.prevalence(ObjectClass::Face), 0.0);
+        assert!((0..100).all(|i| !idx.frame_restricted(i, &[ObjectClass::Face])));
+        assert!(!idx.frame_restricted(100, &[ObjectClass::Person]), "past the last frame");
+        let empty =
+            RestrictionIndex::from_ground_truth(&corpus.slice(0, 0), &[ObjectClass::Person]);
+        assert_eq!((empty.frames(), empty.prevalence(ObjectClass::Person)), (0, 0.0));
     }
 }

@@ -31,15 +31,16 @@ pub fn uniform01(words: &[u64]) -> f64 {
     (combine(words) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Deterministic Poisson draw with mean `lambda`, derived from the words.
-/// Uses inversion by sequential search (fine for the small rates used by
-/// false-positive models).
-pub fn poisson(words: &[u64], lambda: f64) -> u32 {
+/// Deterministic Poisson draw with mean `lambda`, derived from the words;
+/// `exp_neg_lambda` is `(-lambda).exp()`, which callers drawing many times
+/// at one rate compute once. Uses inversion by sequential search (fine for
+/// the small rates used by false-positive models).
+pub fn poisson(words: &[u64], lambda: f64, exp_neg_lambda: f64) -> u32 {
     if lambda <= 0.0 {
         return 0;
     }
     let mut u = uniform01(words);
-    let mut p = (-lambda).exp();
+    let mut p = exp_neg_lambda;
     let mut k = 0u32;
     while u > p && k < 1_000 {
         u -= p;
@@ -77,7 +78,7 @@ mod tests {
     fn poisson_mean_close_to_lambda() {
         let lambda = 2.5;
         let mean: f64 = (0..20_000u64)
-            .map(|i| f64::from(poisson(&[i, 99], lambda)))
+            .map(|i| f64::from(poisson(&[i, 99], lambda, (-lambda).exp())))
             .sum::<f64>()
             / 20_000.0;
         assert!((mean - lambda).abs() < 0.1, "mean={mean}");
@@ -85,7 +86,7 @@ mod tests {
 
     #[test]
     fn poisson_zero_lambda() {
-        assert_eq!(poisson(&[1], 0.0), 0);
-        assert_eq!(poisson(&[1], -3.0), 0);
+        assert_eq!(poisson(&[1], 0.0, 1.0), 0);
+        assert_eq!(poisson(&[1], -3.0, 3f64.exp()), 0);
     }
 }

@@ -14,7 +14,7 @@ use crate::response::ResponseCurve;
 /// Simulated Mask R-CNN (Keras/TensorFlow Matterport build).
 #[derive(Debug, Clone)]
 pub struct SimMaskRcnn {
-    backbone: SimBackbone,
+    pub(crate) backbone: SimBackbone,
 }
 
 impl SimMaskRcnn {

@@ -14,7 +14,7 @@ use crate::response::ResponseCurve;
 /// Simulated MTCNN face detector.
 #[derive(Debug, Clone)]
 pub struct SimMtcnn {
-    backbone: SimBackbone,
+    pub(crate) backbone: SimBackbone,
 }
 
 impl SimMtcnn {

@@ -17,7 +17,27 @@
 //! degrade earlier than day scenes — which is what makes the two datasets'
 //! tradeoff curves differ (Figure 3).
 
+use std::cell::RefCell;
+
 use smokescreen_video::{Object, Resolution};
+
+/// Slots in each thread's contrast-factor memo (a power of two).
+///
+/// The memo is direct-mapped and exact: a slot holds the `f32` bits of a
+/// contrast, the `f64` bits of a `γ` and the factor the formula returns
+/// for them, so a hit is the same number as a fresh computation. Contrast
+/// is fixed per synthetic track (UA-DETRAC: 4,491 distinct values over
+/// 91,499 objects) and each frame is detected at up to 10 resolutions, so
+/// most lookups hit: ~69% with UA-DETRAC's frames in random order, as
+/// the fraction ladder visits them, and more in corpus order. 4,096 slots
+/// of 24 B are 96 KiB per thread, allocated zeroed on the thread's first
+/// call; 8,192 slots hit ~82% but cost the two-thread generator ~0.5 MiB
+/// of peak RSS.
+const CONTRAST_MEMO_SLOTS: usize = 1 << 12;
+
+thread_local! {
+    static CONTRAST_MEMO: RefCell<Vec<[u64; 3]>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Logistic detectability curve for one (model, class) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,22 +54,62 @@ pub struct ResponseCurve {
 
 impl ResponseCurve {
     /// Detection probability for an object at a resolution.
+    ///
+    /// The contrast factor `(contrast / 0.6)^γ` comes from a per-thread
+    /// memo (`CONTRAST_MEMO_SLOTS`) keyed by the exact bits of both
+    /// inputs, so the result is bit-identical to evaluating the formula.
     pub fn detect_probability(&self, object: &Object, res: Resolution) -> f64 {
+        self.detect_probability_with(object, res, self.area50.ln())
+    }
+
+    /// [`detect_probability`](Self::detect_probability) with `ln(area50)`
+    /// supplied by a caller that computes it once per curve.
+    pub(crate) fn detect_probability_with(
+        &self,
+        object: &Object,
+        res: Resolution,
+        ln_area50: f64,
+    ) -> f64 {
         let area = object.bbox.pixel_area(res);
         if area <= 0.0 {
             return 0.0;
         }
-        let contrast_factor = (f64::from(object.contrast) / 0.6)
-            .max(1e-3)
-            .powf(self.contrast_gamma);
+        let contrast_factor = contrast_factor(object.contrast, self.contrast_gamma);
         let occlusion_factor = (1.0 - f64::from(object.occlusion)).max(0.0);
         let eff = area * contrast_factor * occlusion_factor;
         if eff <= 0.0 {
             return 0.0;
         }
-        let z = self.slope * (eff.ln() - self.area50.ln());
+        let z = self.slope * (eff.ln() - ln_area50);
         self.p_max * sigmoid(z)
     }
+}
+
+/// `(contrast / 0.6).max(1e-3)^γ`, through the calling thread's memo.
+fn contrast_factor(contrast: f32, gamma: f64) -> f64 {
+    // The low bit tags an occupied slot, so a zeroed slot matches no key.
+    let key = [(u64::from(contrast.to_bits()) << 32) | 1, gamma.to_bits()];
+    CONTRAST_MEMO.with(|memo| {
+        let mut memo = memo.borrow_mut();
+        if memo.is_empty() {
+            *memo = vec![[0; 3]; CONTRAST_MEMO_SLOTS];
+        }
+        let slot = &mut memo[memo_slot(contrast, gamma)];
+        if slot[..2] == key {
+            return f64::from_bits(slot[2]);
+        }
+        let factor = (f64::from(contrast) / 0.6).max(1e-3).powf(gamma);
+        *slot = [key[0], key[1], factor.to_bits()];
+        factor
+    })
+}
+
+/// The memo slot of a `(contrast, γ)` pair: the top bits of a
+/// multiplicative hash of both inputs' bits.
+pub(crate) fn memo_slot(contrast: f32, gamma: f64) -> usize {
+    let mixed = ((u64::from(contrast.to_bits()) << 32) ^ gamma.to_bits())
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mixed >> (64 - CONTRAST_MEMO_SLOTS.trailing_zeros())) as usize
 }
 
 /// Numerically stable logistic function.

@@ -24,7 +24,7 @@ use crate::response::ResponseCurve;
 /// Simulated YOLOv4.
 #[derive(Debug, Clone)]
 pub struct SimYoloV4 {
-    backbone: SimBackbone,
+    pub(crate) backbone: SimBackbone,
     quirk: QuirkBand,
 }
 
